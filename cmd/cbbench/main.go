@@ -559,6 +559,11 @@ func main() {
 						r.Label, r.Seconds(), mono.Seconds()))
 				}
 			}
+			// A lone cluster's own combine is the final, so the streamed
+			// arms skip the Final broadcast monolithic still pays.
+			if ratio := mono.Seconds() / par.Seconds(); ratio < 1.15 {
+				fatal(fmt.Errorf("sync streamed-parallel is only %.2fx over monolithic-serial, want >= 1.15x", ratio))
+			}
 			if par.Sync.MaxParallel < 2 {
 				fatal(fmt.Errorf("streamed-parallel never merged concurrently (max parallelism %d)",
 					par.Sync.MaxParallel))

@@ -177,12 +177,16 @@ func main() {
 	fmt.Printf("cbhead: done in %v, global reduction %v\n",
 		report.TotalWall.Round(time.Millisecond), report.GlobalRed.Round(time.Millisecond))
 	for _, c := range report.Clusters {
-		fmt.Printf("cbhead: cluster %-8s jobs=%d stolen=%d proc=%v retr=%v sync=%v idle=%v\n",
+		fmt.Printf("cbhead: cluster %-8s jobs=%d stolen=%d proc=%v retr=%v sync=%v idle=%v ship=%v\n",
 			c.Site, c.Workers.JobsProcessed, c.Workers.JobsStolen,
 			c.Workers.Processing.Round(time.Millisecond),
 			c.Workers.Retrieval.Round(time.Millisecond),
 			c.Workers.Sync.Round(time.Millisecond),
-			c.IdleAtEnd.Round(time.Millisecond))
+			c.IdleAtEnd.Round(time.Millisecond),
+			c.ResultShip.Round(time.Millisecond))
+	}
+	if report.Sync != nil {
+		fmt.Println("cbhead:", report.Sync)
 	}
 	if report.Elastic != nil {
 		fmt.Println("cbhead:", elastic.String(report.Elastic))

@@ -90,7 +90,7 @@ func AblationObjectSize(sim SimParams, pages []int64, logf func(string, ...any))
 		spec.Params["pages"] = fmt.Sprint(p)
 		res, err := Execute(RunConfig{
 			Spec: spec, LocalPct: 50, LocalCores: 16, CloudCores: 16,
-			Sim: sim, Logf: logf,
+			Sim: sim, SyncMode: paperSync, Logf: logf,
 		})
 		if err != nil {
 			return nil, err

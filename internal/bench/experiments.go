@@ -5,10 +5,19 @@ import (
 	"time"
 
 	"cloudburst/internal/apps"
+	"cloudburst/internal/cluster"
 	"cloudburst/internal/gr"
 	"cloudburst/internal/mapreduce"
 	"cloudburst/internal/netsim"
 )
+
+// paperSync pins the paper's own figures and tables to the sync mode
+// the paper's runtime had — wait for every cluster, merge, broadcast
+// the final to all — so Table II's global-reduction column keeps
+// measuring what the paper measured (pagerank's ~600 KB object
+// crossing the WAN twice). The streamed plans' exchange hides half of
+// that; cbbench -experiment sync is where the two are compared.
+const paperSync = cluster.SyncMonolithic
 
 // Fig3 runs the paper's five environment configurations for one
 // application (Figure 3; Tables I and II derive from the same runs):
@@ -33,6 +42,7 @@ func Fig3(spec AppSpec, sim SimParams, logf func(string, ...any)) ([]EnvResult, 
 	}
 	var out []EnvResult
 	for _, rc := range runs {
+		rc.SyncMode = paperSync
 		res, err := Execute(rc)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s %s: %w", spec.Name, envName(rc), err)
@@ -51,7 +61,7 @@ func Fig4(spec AppSpec, sim SimParams, logf func(string, ...any)) ([]EnvResult, 
 		res, err := Execute(RunConfig{
 			Spec: spec, LocalPct: 0,
 			LocalCores: m, CloudCores: spec.CloudCores(m),
-			Sim: sim, Logf: logf,
+			Sim: sim, SyncMode: paperSync, Logf: logf,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s (%d,%d): %w", spec.Name, m, spec.CloudCores(m), err)

@@ -13,6 +13,7 @@ import (
 func bufferFixture(t *testing.T, records int64) (DeployConfig, workload.Words) {
 	t.Helper()
 	cfg, gen := fixture(t, records, 8, 4, 3, 3)
+	paceCompute(t, &cfg) // the cloud site must get to do some of the work
 	for i := range cfg.Sites {
 		if cfg.Sites[i].Name == "cloud" {
 			cfg.Sites[i].HomeFetch = true

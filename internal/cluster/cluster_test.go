@@ -98,6 +98,7 @@ func TestRunSingleSite(t *testing.T) {
 
 func TestRunTwoSitesEvenSplit(t *testing.T) {
 	cfg, gen := fixture(t, 8000, 8, 4, 3, 3)
+	paceCompute(t, &cfg)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -121,6 +122,7 @@ func TestRunSkewedDistributionSteals(t *testing.T) {
 	// 1 of 8 files local (12.5%): the local cluster must steal from
 	// the cloud to balance (paper Table I, env-17/83 behaviour).
 	cfg, gen := fixture(t, 16_000, 8, 1, 4, 4)
+	paceCompute(t, &cfg)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -179,25 +181,7 @@ func TestRunKNNEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := workload.Points{Dims: 2, Seed: 77, WithID: true}
-	stores := map[string]*store.Mem{"local": store.NewMem(), "cloud": store.NewMem()}
-	metas, err := workload.Materialize(gen, workload.Spec{Records: 8000, Files: 4, LocalFiles: 2}, stores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := chunk.Build(map[string]store.Store{"local": stores["local"], "cloud": stores["cloud"]},
-		metas, chunk.BuildOptions{RecordSize: int32(app.RecordSize()), ChunkBytes: int64(app.RecordSize()) * 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(DeployConfig{
-		App: app, Index: idx,
-		Sites: []SiteSpec{
-			{Name: "local", Cores: 2, HomeStore: stores["local"],
-				RemoteStores: map[string]store.Store{"cloud": stores["cloud"]}},
-			{Name: "cloud", Cores: 2, HomeStore: stores["cloud"],
-				RemoteStores: map[string]store.Store{"local": stores["local"]}},
-		},
-	})
+	res, err := Run(twoSiteConfig(t, app, gen, 8000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,6 +273,17 @@ func TestRunReportIdleAndGlobalRed(t *testing.T) {
 	if !strings.Contains(res.Report.FinalResult, "wordcount") {
 		t.Fatalf("summary = %q", res.Report.FinalResult)
 	}
+}
+
+// paceCompute gives every record a small paced cost, so a run lasts
+// tens of real milliseconds and which cluster works on what is decided
+// by the load balancer, not by which master's goroutines the host
+// happened to schedule first (on the instant clock one cluster can
+// drain the whole pool before the other is granted its first job).
+func paceCompute(t *testing.T, cfg *DeployConfig) {
+	t.Helper()
+	cfg.Clock = netsim.Scaled(0.01)
+	setAppCost(t, cfg, "2ms")
 }
 
 // newFixtureApp rebuilds the fixture's wordcount app with an explicit

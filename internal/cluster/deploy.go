@@ -134,8 +134,9 @@ type DeployConfig struct {
 
 	// SyncMode selects the global-reduction sync strategy for every
 	// tier: "monolithic" (single-frame objects, merge after the
-	// all-arrivals barrier), "streamed" (bounded KindObjectPart frames,
-	// serial merge overlapped with transfers), "streamed-parallel"
+	// all-arrivals barrier, final broadcast to every master), "streamed"
+	// (bounded KindObjectPart frames, serial merge overlapped with
+	// transfers, final delivered as an exchange), "streamed-parallel"
 	// (streamed plus a worker-pool tree merge), or "streamed-sharded"
 	// (streamed plus shard-level merge for apps that support it). Empty
 	// picks streamed-parallel.

@@ -151,7 +151,8 @@ func TestJoinAdmitsLateSlave(t *testing.T) {
 	// finish everything, with the merged counts exact.
 	cfg, gen := fixture(t, 2000, 2, 2, 1, 0)
 	head, headAddr := startHead(t, cfg)
-	_, masterAddr, masterDone := startMaster(t, cfg, headAddr, 1)
+	logs := make(chan string, 64)
+	_, masterAddr, masterDone := startMasterLogged(t, cfg, headAddr, 1, logs)
 
 	w1 := newRawWorker(t, masterAddr, cfg)
 	g := w1.grant(4)
@@ -159,9 +160,15 @@ func TestJoinAdmitsLateSlave(t *testing.T) {
 		t.Fatal("no jobs granted")
 	}
 
+	// Paced, so the late-comer is still working (and comes back for
+	// the returned jobs) when the first slave retires.
+	paced, err := newFixtureApp("2ms")
+	if err != nil {
+		t.Fatal(err)
+	}
 	joined, err := NewSlave(SlaveConfig{
-		Site: "local", App: cfg.App, Cores: 1, Join: true,
-		HomeStore: cfg.Sites[0].HomeStore,
+		Site: "local", App: paced, Cores: 1, Join: true,
+		HomeStore: cfg.Sites[0].HomeStore, Clock: netsim.Scaled(0.01),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,6 +178,10 @@ func TestJoinAdmitsLateSlave(t *testing.T) {
 		_, err := joined.Run(masterAddr, dialTCP)
 		joinDone <- err
 	}()
+
+	// The retiree must not be the last expected slave when it finishes,
+	// or the master combines before the late-comer exists.
+	awaitLog(t, logs, "joined mid-run")
 
 	// Process half the grant, hand the rest back, retire.
 	w1.process(len(w1.held) / 2)

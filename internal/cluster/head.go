@@ -61,7 +61,9 @@ type HeadConfig struct {
 	// SyncMode selects the global-reduction strategy: how cluster
 	// results arrive (streamed parts vs single frames), how they merge
 	// (as each cluster finishes vs after the all-clusters barrier), and
-	// how the Final broadcast ships back. Empty picks streamed-parallel.
+	// how the final gets back to the masters (monolithic broadcasts it;
+	// streamed plans run the exchange, see partialSend). Empty picks
+	// streamed-parallel.
 	SyncMode string
 	// MergeCost charges each global-reduction fold an emulated duration
 	// per byte of the folded object (see gr.MergerOptions.CostPerByte);
@@ -85,27 +87,32 @@ type Head struct {
 	// fast cluster's merge hides behind a slow cluster's WAN transfer.
 	// Monolithic mode accumulates objects and merges after the barrier.
 	merger *gr.Merger
+	// adds tracks streamed-plan merger.Add calls still in flight, so the
+	// partial's Finish covers every cluster that delivered before it.
+	adds sync.WaitGroup
 
 	mu          sync.Mutex
 	started     time.Time
+	joined      map[string]time.Time // site -> registration
 	arrivals    map[string]time.Time // site -> cluster-result arrival
 	stats       map[string]wire.Stats
-	objects     []gr.Reduction
+	objects     []gr.Reduction // monolithic mode only; streamed feeds merger
+	partial     *partialSend   // streamed plans: the exchange, once a laggard is elected
+	laggardObj  gr.Reduction   // the laggard's own result, folded last
 	registered  int
 	expected    int // clusters still expected to deliver a result
 	lastArrival time.Time
 	sendsDone   int
-	broadcastT  time.Time // when the last Final send completed
+	broadcastT  time.Time // when the last master acked the final
 	mergeEmu    time.Duration
 	faults      metrics.Breakdown // head-side stall detections
 
 	// mergeReady is closed when the global reduction has produced the
-	// final object (or failed); handlers then broadcast it.
+	// final object (or failed); handlers then deliver it.
 	mergeReady chan struct{}
 	mergeOnce  sync.Once
 	finalObj   gr.Reduction
 	finalEnc   []byte // monolithic broadcast; streamed re-encodes per master
-	finalEst   int    // finalObj.Bytes() estimate for stream accounting
 	runErr     error
 
 	resultOnce sync.Once
@@ -159,6 +166,7 @@ func NewHead(cfg HeadConfig) (*Head, error) {
 		plan:       plan,
 		pool:       chunk.NewPoolWith(cfg.Index, chunk.PoolOptions{Scatter: cfg.Scatter}),
 		expected:   cfg.Clusters,
+		joined:     make(map[string]time.Time),
 		arrivals:   make(map[string]time.Time),
 		stats:      make(map[string]wire.Stats),
 		mergeReady: make(chan struct{}),
@@ -262,8 +270,15 @@ func (h *Head) handleMaster(c *wire.Conn) error {
 		return fmt.Errorf("cluster: head: unexpected extra master %q (%v)", site, addr)
 	}
 	h.cfg.Logf("head: master %s registered (%d cores)", site, reg.Cores)
+	if err := c.Send(&wire.Message{Kind: wire.KindAck}); err != nil {
+		return err
+	}
+	// Published only after the ack: a partial stream must never overtake
+	// the registration reply on this connection.
 	h.mu.Lock()
 	h.conns[site] = c
+	h.joined[site] = h.cfg.Clock.Now()
+	h.electLaggard()
 	h.mu.Unlock()
 	defer func() {
 		h.mu.Lock()
@@ -272,9 +287,6 @@ func (h *Head) handleMaster(c *wire.Conn) error {
 		}
 		h.mu.Unlock()
 	}()
-	if err := c.Send(&wire.Message{Kind: wire.KindAck}); err != nil {
-		return err
-	}
 	if h.cfg.HeartbeatInterval > 0 {
 		window := h.cfg.HeartbeatInterval * time.Duration(h.cfg.HeartbeatMisses)
 		c.SetIdleTimeout(window)
@@ -355,52 +367,7 @@ func (h *Head) handleMaster(c *wire.Conn) error {
 				h.merge()
 			}
 			<-h.mergeReady
-			h.mu.Lock()
-			runErr, enc := h.runErr, h.finalEnc
-			final, est := h.finalObj, h.finalEst
-			h.mu.Unlock()
-			if runErr != nil {
-				c.Send(&wire.Message{Kind: wire.KindError, Err: runErr.Error()})
-				h.fail(runErr)
-				return nil
-			}
-			// The Final broadcast carries the merged reduction object
-			// back across the (shaped) inter-cluster links; its cost
-			// is part of the global reduction (Table II). The master's
-			// ack marks actual delivery — a plain Send would complete
-			// into the socket buffer long before the shaped link
-			// finished carrying the object.
-			if h.plan.streamed {
-				// Stream the final object in bounded parts (each master
-				// gets its own encode pass straight into part frames — the
-				// whole encoded object is never allocated), then the
-				// terminal Final with no Object.
-				ow := wire.NewObjectWriter(c, 0)
-				if err = final.Encode(ow); err == nil {
-					err = ow.Close()
-				}
-				if err == nil {
-					h.faults.AddObjectStream(ow.Frames(), ow.Bytes(), int64(est))
-					err = c.Send(&wire.Message{Kind: wire.KindFinal, Done: true})
-				}
-			} else {
-				err = c.Send(&wire.Message{Kind: wire.KindFinal, Object: enc, Done: true})
-			}
-			for err == nil {
-				// Wait for the delivery ack, discarding any heartbeats
-				// the master queued while the broadcast was in flight.
-				var ack *wire.Message
-				if ack, err = c.Recv(); err == nil && ack.Kind != wire.KindHeartbeat {
-					break
-				}
-			}
-			if err != nil {
-				// The cluster's result is already merged; losing the
-				// connection now only means it misses the broadcast.
-				h.clusterLost(site, err)
-				return nil
-			}
-			h.broadcastDone()
+			h.deliverFinal(c, site)
 			return nil
 
 		default:
@@ -479,23 +446,15 @@ func (h *Head) NoteRevocation(site string, n int, warned bool) {
 }
 
 // recordResult stores one cluster's result, returning true when every
-// expected cluster has reported. Under a streamed plan the object is
-// handed to the merger BEFORE the arrival is bookkept: the handler
-// that completes the set calls merge(), and every earlier arrival's
-// Add must already be in by then.
+// expected cluster has reported. Under a streamed plan the arrival is
+// bookkept, the laggard re-evaluated, and the object's destination
+// chosen in one critical section: the elected laggard's object is held
+// for the final fold, every other object goes to the merger — counted
+// in adds before the lock drops, so the partial's Finish waits for it.
 func (h *Head) recordResult(site string, obj gr.Reduction, stats wire.Stats) bool {
 	h.mu.Lock()
 	if _, dup := h.arrivals[site]; dup {
 		h.mu.Unlock()
-		return false
-	}
-	h.mu.Unlock()
-	if h.plan.streamed {
-		h.merger.Add(obj)
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, dup := h.arrivals[site]; dup {
 		return false
 	}
 	now := h.cfg.Clock.Now()
@@ -504,11 +463,25 @@ func (h *Head) recordResult(site string, obj gr.Reduction, stats wire.Stats) boo
 		h.lastArrival = now
 	}
 	h.stats[site] = stats
-	if !h.plan.streamed {
+	feed := false
+	switch {
+	case !h.plan.streamed:
 		h.objects = append(h.objects, obj)
+	case h.partial != nil && h.partial.site == site:
+		h.laggardObj = obj
+	default:
+		feed = true
+		h.adds.Add(1)
 	}
+	h.electLaggard()
+	ready := len(h.arrivals) == h.expected
 	h.cfg.Logf("head: cluster %s finished (%d jobs)", site, stats.Breakdown.JobsProcessed)
-	return len(h.arrivals) == h.expected
+	h.mu.Unlock()
+	if feed {
+		h.merger.Add(obj)
+		h.adds.Done()
+	}
+	return ready
 }
 
 // clusterLost handles a master connection dying: if the cluster's
@@ -527,6 +500,11 @@ func (h *Head) clusterLost(site string, cause error) {
 	}
 	requeued := h.pool.RequeueSite(site)
 	h.expected--
+	delete(h.conns, site)
+	// One fewer cluster to wait for may leave exactly one: the exchange
+	// can start now. A lost laggard needs nothing — the others' merge it
+	// was being sent is the final.
+	h.electLaggard()
 	remaining := h.expected
 	ready := remaining > 0 && len(h.arrivals) == remaining
 	h.cfg.Logf("head: cluster %s lost, %d jobs requeued, %d clusters remain (%v)",
@@ -542,30 +520,182 @@ func (h *Head) clusterLost(site string, cause error) {
 	h.broadcastDone()
 }
 
-// merge runs the global reduction once all clusters have reported and
-// releases the handlers to broadcast the final object. Under a
-// streamed plan the merger absorbed each object at arrival, so Finish
-// pays only the exposed tail; monolithic pays the whole fold here.
-func (h *Head) merge() {
+// partialSend is the head's half of the exchange under a streamed
+// plan: the merge of every cluster but the last one still expected
+// (the laggard), streamed down the laggard's connection while its own
+// result is still uploading — the link's idle direction carries what
+// the Final broadcast would otherwise send after the merge.
+type partialSend struct {
+	site   string // the laggard
+	others int    // clusters delivered at election; 0 = nothing to send
+
+	// merged is closed once obj, err and started are set.
+	merged  chan struct{}
+	obj     gr.Reduction // merge of the others; nil when there are none
+	err     error        // that merge failed: the run fails
+	started time.Time    // when the downlink began
+
+	// sent is closed when the sender exits; sendErr is the laggard's
+	// connection failing mid-stream.
+	sent    chan struct{}
+	sendErr error
+}
+
+// electLaggard (mu held) starts the exchange the moment exactly one
+// still-expected cluster has not delivered. It runs on every
+// registration, arrival and loss; the choice cannot change afterwards
+// because every other expected cluster has already delivered. While
+// the last master has not even registered there is no one to elect.
+func (h *Head) electLaggard() {
+	if !h.plan.streamed || h.partial != nil || h.expected-len(h.arrivals) != 1 {
+		return
+	}
+	var site string
+	pending := 0
+	for s := range h.conns {
+		if _, delivered := h.arrivals[s]; !delivered {
+			site = s
+			pending++
+		}
+	}
+	if pending != 1 {
+		return
+	}
+	h.partial = &partialSend{
+		site: site, others: len(h.arrivals),
+		merged: make(chan struct{}), sent: make(chan struct{}),
+	}
+	go h.sendPartial(h.partial, h.conns[site])
+}
+
+// sendPartial finishes the merge of the clusters that delivered and
+// streams it to the laggard, closed by KindPartial. A lone cluster has
+// nothing to receive: its own combine is the final. The goroutine ends
+// with the stream, or with the laggard's connection.
+func (h *Head) sendPartial(p *partialSend, c *wire.Conn) {
+	defer close(p.sent)
+	if p.others > 0 {
+		h.adds.Wait()
+		p.obj, _, p.err = h.merger.Finish()
+	}
+	p.started = h.cfg.Clock.Now()
+	close(p.merged)
+	if p.obj == nil {
+		return
+	}
+	h.cfg.Logf("head: streaming the merge of %d cluster(s) to laggard %s", p.others, p.site)
+	if p.sendErr = h.streamObject(c, p.obj); p.sendErr == nil {
+		p.sendErr = c.Send(&wire.Message{Kind: wire.KindPartial})
+	}
+}
+
+// streamObject ships obj down c in bounded parts: the encode pass
+// writes straight into part frames, so the whole encoded object is
+// never allocated. obj is only read.
+func (h *Head) streamObject(c *wire.Conn, obj gr.Reduction) error {
+	ow := wire.NewObjectWriter(c, 0)
+	err := obj.Encode(ow)
+	if err == nil {
+		err = ow.Close()
+	}
+	if err == nil {
+		h.faults.AddObjectStream(ow.Frames(), ow.Bytes(), int64(obj.Bytes()))
+	}
+	return err
+}
+
+// deliverFinal gets the merged result to one master and waits for its
+// delivery ack. The transfer crosses the (shaped) inter-cluster link
+// and its cost is part of the global reduction (Table II); the ack
+// marks actual delivery — a plain Send would complete into the socket
+// buffer long before the shaped link finished carrying the object.
+// Monolithic ships the encoded object in the Final frame. Streamed
+// plans stream it ahead of an object-less Final, except to the laggard,
+// which already holds the others' merge and only needs Final to fold
+// its own result in.
+func (h *Head) deliverFinal(c *wire.Conn, site string) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	start := h.cfg.Clock.Now()
-	var final gr.Reduction
-	var mstats gr.MergerStats
+	runErr, enc, final, p := h.runErr, h.finalEnc, h.finalObj, h.partial
+	h.mu.Unlock()
+	if runErr != nil {
+		c.Send(&wire.Message{Kind: wire.KindError, Err: runErr.Error()})
+		h.fail(runErr)
+		return
+	}
 	var err error
-	for _, o := range h.objects {
-		// Monolithic mode held the objects back; fold them now, after
-		// the barrier. Streamed plans fed the merger at each arrival.
-		if err = h.merger.Add(o); err != nil {
+	switch {
+	case !h.plan.streamed:
+		err = c.Send(&wire.Message{Kind: wire.KindFinal, Object: enc, Done: true})
+	case p.site == site:
+		<-p.sent
+		err = p.sendErr
+	default:
+		err = h.streamObject(c, final)
+	}
+	if err == nil && h.plan.streamed {
+		err = c.Send(&wire.Message{Kind: wire.KindFinal, Done: true})
+	}
+	var ack *wire.Message
+	for err == nil {
+		// Wait for the delivery ack, discarding any heartbeats the
+		// master queued while the transfer was in flight.
+		if ack, err = c.Recv(); err == nil && ack.Kind != wire.KindHeartbeat {
 			break
 		}
 	}
-	if err == nil {
-		final, mstats, err = h.merger.Finish()
+	if err != nil {
+		// The cluster's result is already merged; losing the
+		// connection now only means it misses the final object.
+		h.clusterLost(site, err)
+		return
 	}
+	// The laggard's ack reports its own fold of the others' merge.
+	b := ack.Stats.Breakdown
+	h.faults.AddMerge(b.Merges, b.MergeBusyEmu, b.MergeTailEmu, b.MergeMaxPar)
+	h.broadcastDone()
+}
+
+// merge runs the global reduction once all clusters have reported and
+// releases the handlers to deliver the final object. Under a streamed
+// plan everything but the laggard's result is already merged (and on
+// its way down to the laggard), so one fold finishes it; monolithic
+// pays the whole fold here, after the barrier.
+func (h *Head) merge() {
+	h.mu.Lock()
+	p, own, held := h.partial, h.laggardObj, h.objects
+	h.mu.Unlock()
+	start := h.cfg.Clock.Now()
+	var final gr.Reduction
+	var err error
+	if p != nil {
+		<-p.merged
+		final, err = p.obj, p.err
+		switch {
+		case err != nil || own == nil:
+			// The laggard died: the others' merge is the final.
+		case final == nil:
+			final = own // lone cluster
+		default:
+			// The partial is only read — its sender may still be encoding it.
+			err = h.merger.Fold(own, final)
+			final = own
+		}
+	} else {
+		for _, o := range held {
+			if err = h.merger.Add(o); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			final, _, err = h.merger.Finish()
+		}
+	}
+	mstats := h.merger.Stats()
+
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	if err == nil {
 		h.finalObj = final
-		h.finalEst = final.Bytes()
 		if !h.plan.streamed {
 			h.finalEnc, err = gr.EncodeReduction(final)
 		}
@@ -578,7 +708,7 @@ func (h *Head) merge() {
 	h.mergeOnce.Do(func() { close(h.mergeReady) })
 }
 
-// broadcastDone is called as each handler finishes sending Final; the
+// broadcastDone is called as each handler's master acks the final; the
 // last one assembles and publishes the run report.
 func (h *Head) broadcastDone() {
 	h.mu.Lock()
@@ -601,18 +731,22 @@ func (h *Head) publish() {
 
 	report := &metrics.RunReport{
 		App: h.cfg.App.Name(),
-		// Global reduction = in-memory merge plus broadcasting the
-		// final object back to every cluster.
+		// Global reduction = in-memory merge plus getting the final
+		// object back to every cluster.
 		GlobalRed: h.mergeEmu + h.cfg.Clock.ToEmu(h.broadcastT.Sub(h.lastArrival)),
 		TotalWall: h.cfg.Clock.ToEmu(h.broadcastT.Sub(h.started)),
 	}
 	for site, t := range h.arrivals {
 		st := h.stats[site]
+		wall := time.Duration(st.WallEmu)
 		report.Clusters = append(report.Clusters, metrics.ClusterReport{
 			Site:      site,
 			Workers:   st.Breakdown,
 			IdleAtEnd: h.cfg.Clock.ToEmu(h.lastArrival.Sub(t)),
-			Wall:      time.Duration(st.WallEmu),
+			Wall:      wall,
+			// The master stamps Wall before it ships, so what is left of
+			// its registration-to-arrival span is the result's transfer.
+			ResultShip: max(0, h.cfg.Clock.ToEmu(t.Sub(h.joined[site]))-wall),
 		})
 		report.Faults.Retries += st.Breakdown.Retries
 		report.Faults.BackoffEmu += st.Breakdown.BackoffEmu
@@ -659,6 +793,12 @@ func (h *Head) publish() {
 		MergeTailEmu:    agg.MergeTailEmu,
 		MaxParallel:     agg.MergeMaxPar,
 		CheckpointSkips: agg.CheckpointSkips,
+	}
+	if p := h.partial; p != nil && p.obj != nil {
+		sync.PartialSite = p.site
+		if t, ok := h.arrivals[p.site]; ok {
+			sync.PartialHiddenEmu = max(0, h.cfg.Clock.ToEmu(t.Sub(p.started)))
+		}
 	}
 	if saved := sync.MergeBusyEmu - sync.MergeTailEmu; saved > 0 {
 		// Merge work that ran while transfers were still in flight —

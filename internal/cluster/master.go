@@ -112,15 +112,16 @@ func (c MasterConfig) withDefaults() MasterConfig {
 type Master struct {
 	cfg  MasterConfig
 	head *wire.Conn
-	plan syncPlan
+	// headCh carries the head's replies from readHead, the one goroutine
+	// that reads the head connection, to the protocol goroutine.
+	headCh chan headReply
+	plan   syncPlan
 
 	// merger runs the availability-driven local combine under a streamed
 	// plan: every delivered slave object is fed in as it arrives, so
 	// merging overlaps the transfers still in flight. Monolithic mode
 	// instead accumulates slaveObjs and merges after the barrier.
 	merger *gr.Merger
-	// finalOC collects the head's streamed Final broadcast.
-	finalOC objectCollector
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -214,7 +215,6 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		Mode: plan.merge, Workers: mergeWorkers,
 		Clock: cfg.Clock, CostPerByte: cfg.MergeCost,
 	})
-	m.finalOC.app = cfg.App
 	m.cond = sync.NewCond(&m.mu)
 	return m, nil
 }
@@ -229,14 +229,21 @@ func (m *Master) Run(headAddr string, dial store.Dialer, l net.Listener) (gr.Red
 	}
 	m.head = wire.NewConn(raw)
 	m.head.SetBufferPool(m.cfg.Pool)
-	m.finalOC.conn = m.head
-	defer m.head.Close()
-
 	if _, err := m.head.Call(&wire.Message{
 		Kind: wire.KindRegisterMaster, Site: m.cfg.Site, Cores: m.cfg.Cores,
 	}); err != nil {
+		m.head.Close()
 		return nil, fmt.Errorf("cluster: master %s: register with head %s: %w", m.cfg.Site, headAddr, err)
 	}
+	m.headCh = make(chan headReply)
+	go m.readHead()
+	defer func() {
+		// Closing the connection ends the reader; draining releases it if
+		// it is parked on an undelivered reply.
+		m.head.Close()
+		for range m.headCh {
+		}
+	}()
 	if m.cfg.HeartbeatInterval > 0 {
 		// Keep the head convinced we are alive through the long quiet
 		// stretches (local combine, waiting for slow slaves).
@@ -319,7 +326,7 @@ func (m *Master) refillLoop() error {
 		resident := m.residentUnionLocked()
 		m.mu.Unlock()
 
-		resp, err := m.callHead(&wire.Message{
+		reply, err := m.callHead(&wire.Message{
 			Kind: wire.KindRequestJobs, Site: m.cfg.Site,
 			Max: m.cfg.Batch, Completed: completed, Progress: progress,
 			Resident: resident,
@@ -327,6 +334,7 @@ func (m *Master) refillLoop() error {
 		if err != nil {
 			return fmt.Errorf("cluster: master %s: request jobs: %w", m.cfg.Site, err)
 		}
+		resp := reply.msg
 		if resp.Kind != wire.KindJobs {
 			return fmt.Errorf("cluster: master %s: unexpected %v", m.cfg.Site, resp.Kind)
 		}
@@ -346,36 +354,76 @@ func (m *Master) refillLoop() error {
 	}
 }
 
-// callHead is Call on the head connection, absorbing the one-way
-// KindScale pushes the elastic controller may interleave with our
-// request/response traffic. Scale pushes sit in the socket until the
-// next head exchange reads them — decision latency is bounded by the
-// refill cadence, which is frequent exactly when scaling matters.
-func (m *Master) callHead(msg *wire.Message) (*wire.Message, error) {
-	if err := m.head.Send(msg); err != nil {
-		return nil, err
-	}
+// headReply is one head message handed from readHead to the protocol
+// goroutine. A KindFinal reply also carries what the head streamed
+// ahead of it: final, the merged result (a cluster that delivered
+// early), or partial, the merge of every other cluster (the laggard,
+// which folds its own result in). Neither is set for a lone cluster,
+// whose own combine is the final.
+type headReply struct {
+	msg            *wire.Message
+	final, partial gr.Reduction
+	err            error
+}
+
+// readHead is the only reader of the head connection. Reads are paced
+// on this side of the shaped link, so the head's streams only make
+// progress while someone is reading: a dedicated reader lets the
+// partial come down while the cluster result is still going up, and
+// applies KindScale pushes the moment they arrive instead of at the
+// next exchange. It hands request replies to callHead and exits after
+// KindFinal or a connection error, closing headCh.
+func (m *Master) readHead() {
+	defer close(m.headCh)
+	oc := objectCollector{app: m.cfg.App, conn: m.head}
+	defer oc.abort(fmt.Errorf("cluster: master %s: head connection closed mid-stream", m.cfg.Site))
+	var partial gr.Reduction
 	for {
-		resp, err := m.head.Recv()
+		msg, err := m.head.Recv()
 		if err != nil {
-			return nil, err
+			m.headCh <- headReply{err: err}
+			return
 		}
-		switch resp.Kind {
+		switch msg.Kind {
 		case wire.KindScale:
-			m.applyScale(resp.Target)
-			continue
+			m.applyScale(msg.Target)
 		case wire.KindObjectPart:
-			// A part of the head's streamed Final broadcast; decode
-			// overlaps the parts still crossing the WAN.
-			if err := m.finalOC.feed(resp); err != nil {
-				return nil, err
+			// Decode overlaps the parts still crossing the WAN.
+			err = oc.feed(msg)
+		case wire.KindPartial:
+			partial, _, _, err = oc.take()
+		case wire.KindFinal:
+			r := headReply{msg: msg, partial: partial}
+			if oc.pending() {
+				r.final, _, _, r.err = oc.take()
 			}
-			continue
-		case wire.KindError:
-			return nil, &wire.RemoteError{Msg: resp.Err}
+			m.headCh <- r
+			return
+		default:
+			m.headCh <- headReply{msg: msg}
 		}
-		return resp, nil
+		if err != nil {
+			m.headCh <- headReply{err: err}
+			return
+		}
 	}
+}
+
+// callHead sends msg and waits for the reply readHead dispatches.
+func (m *Master) callHead(msg *wire.Message) (headReply, error) {
+	if err := m.head.Send(msg); err != nil {
+		return headReply{}, err
+	}
+	r, ok := <-m.headCh
+	switch {
+	case !ok:
+		return r, fmt.Errorf("cluster: master %s: head connection closed", m.cfg.Site)
+	case r.err != nil:
+		return r, r.err
+	case r.msg.Kind == wire.KindError:
+		return r, &wire.RemoteError{Msg: r.msg.Err}
+	}
+	return r, nil
 }
 
 // applyScale reacts to the head's new worker-count target for this
@@ -939,7 +987,6 @@ func (m *Master) combineAndReport() (gr.Reduction, error) {
 	progress := m.progress
 	started := m.started
 	m.mu.Unlock()
-	defer m.finalOC.abort(fmt.Errorf("cluster: master %s: head connection closed mid-stream", m.cfg.Site))
 
 	// The local combine. Under a streamed plan the merger has been
 	// absorbing objects since the first slave finished, so Finish only
@@ -959,11 +1006,20 @@ func (m *Master) combineAndReport() (gr.Reduction, error) {
 	tail := m.cfg.Clock.ToEmu(m.cfg.Clock.Now().Sub(t0))
 	m.faults.AddMerge(mstats.Merges, m.cfg.Clock.ToEmu(mstats.Busy), tail, mstats.MaxParallel)
 
+	// The cluster's wall time ends here, before the result ships: the
+	// WAN transfer belongs to the global reduction in every sync mode.
+	var agg wire.Stats
+	for _, s := range stats {
+		agg.Breakdown = agg.Breakdown.Add(s.Breakdown)
+	}
+	agg.WallEmu = int64(m.cfg.Clock.ToEmu(m.cfg.Clock.Now().Sub(started)))
+	m.cfg.Logf("master %s: local combine done, %d jobs, shipping %d-byte object",
+		m.cfg.Site, agg.Breakdown.JobsProcessed, combined.Bytes())
+
 	msg := &wire.Message{
 		Kind: wire.KindClusterResult, Site: m.cfg.Site,
 		Completed: completed, Progress: progress,
 	}
-	var shipped int64
 	if m.plan.streamed {
 		// Stream the combined object to the head in bounded parts — the
 		// full encoded form is never allocated — then send the terminal
@@ -976,46 +1032,50 @@ func (m *Master) combineAndReport() (gr.Reduction, error) {
 			return nil, fmt.Errorf("cluster: master %s: stream result: %w", m.cfg.Site, err)
 		}
 		m.faults.AddObjectStream(ow.Frames(), ow.Bytes(), int64(combined.Bytes()))
-		shipped = ow.Bytes()
-	} else {
-		enc, err := gr.EncodeReduction(combined)
-		if err != nil {
-			return nil, err
-		}
-		msg.Object = enc
-		shipped = int64(len(enc))
-	}
-
-	var agg wire.Stats
-	for _, s := range stats {
-		agg.Breakdown = agg.Breakdown.Add(s.Breakdown)
+	} else if msg.Object, err = gr.EncodeReduction(combined); err != nil {
+		return nil, err
 	}
 	// Fold in the master's own stall detections and sync counters so
 	// they reach the run report alongside the workers' counters.
 	agg.Breakdown = agg.Breakdown.Add(m.faults.Snapshot())
-	agg.WallEmu = int64(m.cfg.Clock.ToEmu(m.cfg.Clock.Now().Sub(started)))
 	msg.Stats = agg
 
-	m.cfg.Logf("master %s: local combine done, %d jobs, shipping %d-byte object",
-		m.cfg.Site, agg.Breakdown.JobsProcessed, shipped)
-	resp, err := m.callHead(msg)
+	reply, err := m.callHead(msg)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: master %s: report: %w", m.cfg.Site, err)
 	}
-	if resp.Kind != wire.KindFinal {
-		return nil, fmt.Errorf("cluster: master %s: expected final, got %v", m.cfg.Site, resp.Kind)
+	if reply.msg.Kind != wire.KindFinal {
+		return nil, fmt.Errorf("cluster: master %s: expected final, got %v", m.cfg.Site, reply.msg.Kind)
 	}
-	// Confirm receipt: the head charges the broadcast's (shaped)
-	// transfer time to the global reduction only once this ack lands.
-	if err := m.head.Send(&wire.Message{Kind: wire.KindAck}); err != nil {
+	return m.acceptFinal(reply, combined)
+}
+
+// acceptFinal turns the head's Final reply into this site's copy of
+// the merged result and acks it: the head charges the final's (shaped)
+// transfer time to the global reduction only once the ack lands.
+func (m *Master) acceptFinal(reply headReply, combined gr.Reduction) (gr.Reduction, error) {
+	ack := &wire.Message{Kind: wire.KindAck}
+	final := combined // a lone cluster's own combine is the final
+	switch {
+	case reply.final != nil:
+		final = reply.final
+	case reply.partial != nil:
+		// The laggard's side of the exchange: the merge of every other
+		// cluster came down while our result went up; folding it into
+		// our own is the same final the head computes. The ack waits
+		// for the fold, so the run ends when this site holds the final.
+		t0 := m.cfg.Clock.Now()
+		if err := m.merger.Fold(combined, reply.partial); err != nil {
+			return nil, fmt.Errorf("cluster: master %s: fold partial: %w", m.cfg.Site, err)
+		}
+		span := m.cfg.Clock.ToEmu(m.cfg.Clock.Now().Sub(t0))
+		ack.Stats.Breakdown = metrics.Snapshot{Merges: 1, MergeBusyEmu: span, MergeTailEmu: span, MergeMaxPar: 1}
+	}
+	if err := m.head.Send(ack); err != nil {
 		return nil, err
 	}
-	if resp.Object != nil {
-		return gr.DecodeReduction(m.cfg.App, resp.Object)
-	}
-	final, _, _, err := m.finalOC.take()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: master %s: decode final: %w", m.cfg.Site, err)
+	if enc := reply.msg.Object; enc != nil {
+		return gr.DecodeReduction(m.cfg.App, enc) // monolithic: the whole object in the Final frame
 	}
 	return final, nil
 }

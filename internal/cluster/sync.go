@@ -8,11 +8,13 @@ import (
 	"cloudburst/internal/wire"
 )
 
-// Sync modes: how reduction objects travel upstream and how each
-// receiver merges them. The empty string resolves to the streamed
-// parallel default; "monolithic" keeps the pre-streaming behavior —
-// whole objects in single frames, merged after an all-arrivals
-// barrier — as the measured baseline.
+// Sync modes: how reduction objects travel upstream, how each
+// receiver merges them, and how the final gets back down. The empty
+// string resolves to the streamed parallel default; "monolithic" keeps
+// the paper runtime's behavior — whole objects in single frames,
+// merged after an all-arrivals barrier, the final broadcast to every
+// master — as the measured baseline. Every streamed plan instead runs
+// the exchange (see Head.electLaggard).
 const (
 	SyncMonolithic       = "monolithic"
 	SyncStreamed         = "streamed"

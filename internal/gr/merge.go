@@ -161,15 +161,16 @@ func (m *Merger) Add(red Reduction) error {
 		m.ready = append(m.ready, red)
 		m.kick()
 		return nil
-	case MergeSharded:
-		return m.addSharded(red)
 	default:
-		return m.addSerial(red)
+		return m.addAcc(red)
 	}
 }
 
-// addSerial folds red into the accumulator on the caller's goroutine.
-func (m *Merger) addSerial(red Reduction) error {
+// addAcc folds red into the shared accumulator on the caller's
+// goroutine (serial and sharded modes). The fold runs outside the
+// state lock so stats reads never block behind it, but concurrent Adds
+// (one per connection handler) must still queue on the accumulator.
+func (m *Merger) addAcc(red Reduction) error {
 	m.mu.Lock()
 	if m.err != nil {
 		m.mu.Unlock()
@@ -179,78 +180,64 @@ func (m *Merger) addSerial(red Reduction) error {
 		m.acc = m.app.NewReduction()
 	}
 	acc := m.acc
-	if m.stats.MaxParallel < 1 {
-		m.stats.MaxParallel = 1
-	}
 	m.mu.Unlock()
 
-	// The accumulator merge runs outside the state lock so stats reads
-	// never block behind a long fold, but concurrent Adds (one per
-	// connection handler) must still queue on the shared accumulator.
 	m.serial.Lock()
-	t0 := m.clock.Now()
-	err := acc.Merge(red)
-	if err == nil {
-		m.pace(red, 1)
-	}
-	span := m.clock.Now().Sub(t0)
+	err := m.fold(acc, red)
 	m.serial.Unlock()
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.stats.Merges++
-	m.stats.Busy += span
 	if err != nil && m.err == nil {
 		m.err = fmt.Errorf("gr: merge: %w", err)
 	}
 	return m.err
 }
 
-// addSharded folds red into the accumulator, parallelizing across the
-// object's shards when both sides are shardable with matching counts.
-func (m *Merger) addSharded(red Reduction) error {
-	m.mu.Lock()
-	if m.err != nil {
-		m.mu.Unlock()
-		return m.err
-	}
-	if m.acc == nil {
-		m.acc = m.app.NewReduction()
-	}
-	acc := m.acc
-	m.mu.Unlock()
-
-	sa, okA := acc.(ShardedReduction)
-	sr, okR := red.(ShardedReduction)
-	m.serial.Lock()
+// fold merges src into dst on the caller's goroutine, charges the
+// emulated cost, and tallies the span. Sharded mode parallelizes
+// across the objects' shards when both sides are shardable with
+// matching counts; everything else is a whole-object merge. src is
+// only read.
+func (m *Merger) fold(dst, src Reduction) error {
 	t0 := m.clock.Now()
 	var err error
 	par := 1
-	if okA && okR && sa.Shards() == sr.Shards() && sa.Shards() > 1 {
-		err = mergeShards(sa, red, m.workers)
-		if par = sa.Shards(); par > m.workers {
+	sd, okD := dst.(ShardedReduction)
+	ss, okS := src.(ShardedReduction)
+	if m.mode == MergeSharded && okD && okS && sd.Shards() == ss.Shards() && sd.Shards() > 1 {
+		err = mergeShards(sd, src, m.workers)
+		if par = sd.Shards(); par > m.workers {
 			par = m.workers
 		}
 	} else {
-		err = acc.Merge(red)
+		err = dst.Merge(src)
 	}
 	if err == nil {
-		m.pace(red, par)
+		m.pace(src, par)
 	}
 	span := m.clock.Now().Sub(t0)
-	m.serial.Unlock()
 
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.stats.Merges++
 	m.stats.Busy += span
 	if par > m.stats.MaxParallel {
 		m.stats.MaxParallel = par
 	}
-	if err != nil && m.err == nil {
-		m.err = fmt.Errorf("gr: merge: %w", err)
+	m.mu.Unlock()
+	return err
+}
+
+// Fold merges src into dst under the merger's mode and per-byte cost,
+// counted in its stats, without touching the Add/Finish accumulator:
+// the one extra fold a receiver owes after Finish (a laggard's own
+// result into the partial merge of everyone else). src is only read,
+// so it may be encoded concurrently.
+func (m *Merger) Fold(dst, src Reduction) error {
+	if err := m.fold(dst, src); err != nil {
+		return fmt.Errorf("gr: merge: %w", err)
 	}
-	return m.err
+	return nil
 }
 
 // mergeShards fans MergeShard calls for every shard of other into dst
@@ -335,8 +322,8 @@ func (m *Merger) pair(a, b Reduction) {
 
 // Finish waits for in-flight merges, folds any remainder, and returns
 // the combined object with the merger's stats. With no Adds the
-// result is a fresh (identity) reduction. The merger must not be
-// reused afterwards.
+// result is a fresh (identity) reduction. The merger must not be fed
+// afterwards; Fold stays usable.
 func (m *Merger) Finish() (Reduction, MergerStats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

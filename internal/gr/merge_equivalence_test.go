@@ -223,3 +223,71 @@ func TestMergerConcurrentAddEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// TestMergerFoldAfterFinishEquivalence is the exchange's contract: the
+// merge of all objects but one (Finish), folded into the held-back one
+// (Fold), equals the plain merge of everything, under every mode — and
+// Fold only reads its source, so the source may be encoded (streamed to
+// a peer) while the fold runs; the race detector checks that.
+func TestMergerFoldAfterFinishEquivalence(t *testing.T) {
+	const (
+		nObjects = 5
+		nRecords = 4000
+	)
+	for _, name := range gr.Apps() {
+		t.Run(name, func(t *testing.T) {
+			app, err := gr.New(name, mergeTestParams[name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, total, err := bench.GeneratorFor(app, nRecords)
+			if err != nil {
+				t.Skipf("no workload generator for %q: %v", name, err)
+			}
+			encoded := buildEncodedObjects(t, app, gen, total, nObjects)
+			order := make([]int, nObjects)
+			for i := range order {
+				order[i] = i
+			}
+			base, err := gr.MergeAll(app, decodeObjects(t, app, encoded, order))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := digestOf(t, app, base)
+
+			for _, mode := range []gr.MergeMode{gr.MergeSerial, gr.MergeParallel, gr.MergeSharded} {
+				t.Run(fmt.Sprint(mode), func(t *testing.T) {
+					m := gr.NewMerger(app, gr.MergerOptions{Mode: mode, Workers: 4})
+					objs := decodeObjects(t, app, encoded, order)
+					last := objs[nObjects-1]
+					for _, o := range objs[:nObjects-1] {
+						if err := m.Add(o); err != nil {
+							t.Fatal(err)
+						}
+					}
+					partial, before, err := m.Finish()
+					if err != nil {
+						t.Fatal(err)
+					}
+					encodeDone := make(chan error, 1)
+					go func() {
+						_, err := gr.EncodeReduction(partial)
+						encodeDone <- err
+					}()
+					if err := m.Fold(last, partial); err != nil {
+						t.Fatal(err)
+					}
+					if err := <-encodeDone; err != nil {
+						t.Fatal(err)
+					}
+					if got := m.Stats().Merges; got != before.Merges+1 {
+						t.Fatalf("fold counted %d merges, want %d", got, before.Merges+1)
+					}
+					if d := digestOf(t, app, last); d != want {
+						t.Fatalf("mode %v: digest %s, want %s", mode, d, want)
+					}
+				})
+			}
+		})
+	}
+}

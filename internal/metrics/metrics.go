@@ -596,6 +596,10 @@ type ClusterReport struct {
 	// Wall is the cluster's total emulated wall time from start to its
 	// local-combine completion.
 	Wall time.Duration
+	// ResultShip is the emulated time the cluster's combined result then
+	// spent reaching the head (measured head-side: registration-to-
+	// arrival minus Wall).
+	ResultShip time.Duration
 }
 
 // FaultReport aggregates fault-recovery activity over a run: what the
@@ -756,6 +760,27 @@ type SyncReport struct {
 	OverlapSavedEmu time.Duration // merge time hidden behind transfer (busy - tail)
 	MaxParallel     int           // peak concurrent mergers observed
 	CheckpointSkips int           // checkpoint pushes elided as unchanged
+
+	// The exchange (streamed plans, two or more clusters): PartialSite
+	// is the laggard — the last cluster to deliver, which received the
+	// merge of all the others instead of a Final broadcast — and
+	// PartialHiddenEmu how long that downlink had already been running
+	// when the laggard's own result landed, i.e. the broadcast time the
+	// exchange took off the critical path.
+	PartialSite      string
+	PartialHiddenEmu time.Duration
+}
+
+// String renders the transfer/merge summary on one line.
+func (s SyncReport) String() string {
+	out := fmt.Sprintf("sync[%s]: %d parts %.2f MB, %d merges busy=%v tail=%v maxpar=%d",
+		s.Mode, s.Parts, float64(s.StreamedBytes)/(1<<20), s.Merges,
+		s.MergeBusyEmu.Round(time.Millisecond), s.MergeTailEmu.Round(time.Millisecond), s.MaxParallel)
+	if s.PartialSite != "" {
+		out += fmt.Sprintf(", laggard %s got the others' merge %v before its own result landed",
+			s.PartialSite, s.PartialHiddenEmu.Round(time.Millisecond))
+	}
+	return out
 }
 
 // Any reports whether any sync activity was recorded.

@@ -167,7 +167,7 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 					Processing: 9 * time.Second, JobsProcessed: 480,
 					BytesRead: 1 << 23, BytesRemote: 1 << 21,
 				},
-				Cores: 2, Wall: 238 * time.Second,
+				Cores: 2, Wall: 238 * time.Second, ResultShip: 40 * time.Second,
 			},
 		},
 		GlobalRed: 4 * time.Second, TotalWall: 244 * time.Second,
@@ -180,6 +180,7 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 		Sync: &SyncReport{
 			Mode: "streamed-parallel", Parts: 64, StreamedBytes: 1 << 25,
 			Merges: 9, MaxParallel: 3,
+			PartialSite: "cloud", PartialHiddenEmu: 39 * time.Second,
 		},
 		Elastic: &ElasticReport{
 			Site: "cloud", Deadline: 200 * time.Second, MetDeadline: true,
@@ -195,6 +196,10 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 			SpotSecs: 900, OnDemandSecs: 1020, SpotUSD: 0.03, OnDemandUSD: 0.06,
 		},
 		Preemption: &PreemptionReport{Revocations: 2, PreemptWarns: 1, CheckpointsSent: 4},
+	}
+
+	if line := rep.Sync.String(); !strings.Contains(line, "laggard cloud") || !strings.Contains(line, "39s") {
+		t.Fatalf("sync summary does not name the laggard and its hidden time: %q", line)
 	}
 
 	out, err := json.Marshal(&rep)

@@ -111,6 +111,14 @@ const (
 	// ~300 MB pagerank object never needs a single 300 MB allocation or
 	// frame on either side.
 	KindObjectPart // Seq, Off, Data, Last (one-way)
+
+	// KindPartial terminates the one part stream that is NOT followed by
+	// its owner's terminal message: the head's early downlink to the
+	// last cluster still uploading its result (the laggard). The stream
+	// it closes is the merge of every OTHER cluster's result, so the
+	// receiver folds its own result into it instead of treating it as
+	// the final object; the later KindFinal then carries no object.
+	KindPartial // head->master: the preceding part stream is complete (one-way)
 )
 
 var kindNames = map[Kind]string{
@@ -125,7 +133,7 @@ var kindNames = map[Kind]string{
 	KindJoin: "join", KindDrain: "drain", KindScale: "scale",
 	KindPreemptWarn: "preempt-warn", KindCheckpoint: "checkpoint",
 	KindStage: "stage", KindStageResp: "stage-resp",
-	KindObjectPart: "object-part",
+	KindObjectPart: "object-part", KindPartial: "partial",
 }
 
 func (k Kind) String() string {
@@ -340,12 +348,23 @@ func (c *Conn) Recycle(buf []byte) {
 // peer that stays silent (or stalls mid-frame) for longer than d makes
 // Recv fail with a timeout error instead of hanging forever. Zero
 // disables the deadline.
-func (c *Conn) SetIdleTimeout(d time.Duration) { c.idle.Store(int64(d)) }
+func (c *Conn) SetIdleTimeout(d time.Duration) {
+	c.idle.Store(int64(d))
+	if d <= 0 {
+		// Recv only re-arms a positive timeout; lift the last one armed.
+		c.c.SetReadDeadline(time.Time{})
+	}
+}
 
 // SetWriteTimeout arms a write deadline of d on every subsequent Send,
 // so a peer that stops draining its socket cannot wedge the sender.
 // Zero disables the deadline.
-func (c *Conn) SetWriteTimeout(d time.Duration) { c.writeTimeout.Store(int64(d)) }
+func (c *Conn) SetWriteTimeout(d time.Duration) {
+	c.writeTimeout.Store(int64(d))
+	if d <= 0 {
+		c.c.SetWriteDeadline(time.Time{})
+	}
+}
 
 // SetMaxFrame lowers this connection's frame-size cap below the
 // package MaxFrame: peers whose messages are known small (the control

@@ -10,12 +10,17 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 go test ./...
+# The benchmark is its own module (benchmark/go.mod), outside ./...:
+# its smoke test runs every workload once against the oracle.
+(cd benchmark && go test ./...)
 go test -race ./internal/cluster/ ./internal/store/ ./internal/chunk/ ./internal/driver/ ./internal/elastic/ ./internal/gr/ ./internal/advisor/
 # Dynamic membership (mid-run joins, drain-vs-steal races, elastic
-# end-to-end) is the most race-prone surface, and streamed sync adds
-# concurrent merges fed from connection handlers: run both twice under
-# the race detector so a lucky interleaving can't hide a regression.
-go test -race -count=2 -run 'Join|Drain|Elastic|Spot|Preempt|Checkpoint|Revocation|Buffer|Merge|Sync' ./internal/cluster/ ./internal/gr/
+# end-to-end) is the most race-prone surface, streamed sync adds
+# concurrent merges fed from connection handlers, and the exchange a
+# head-side sender and a master-side reader per head connection: run
+# them twice under the race detector so a lucky interleaving can't
+# hide a regression.
+go test -race -count=2 -run 'Join|Drain|Elastic|Spot|Preempt|Checkpoint|Revocation|Buffer|Merge|Sync|Exchange|HeadReader' ./internal/cluster/ ./internal/gr/
 # The wire codec owns every byte on every connection: fuzz the decoder
 # briefly (corrupt frames must error, never panic) and run the codec
 # microbench as a correctness smoke (both codecs, round trips checked,
