@@ -86,11 +86,18 @@ func (a *KNN) NewReduction() gr.Reduction {
 // Distance computes the squared euclidean distance from the query to
 // the point encoded in rec (exported for reference computations).
 func (a *KNN) Distance(rec []byte) float64 {
+	return sqDist(a.query, rec, 8)
+}
+
+// sqDist is the one distance loop, over the coordinates at b[off:]:
+// float32 subtract, float64 square-accumulate, in dimension order.
+func sqDist(query []float32, b []byte, off int) float64 {
 	var sum float64
-	for d := 0; d < a.Dims; d++ {
-		v := math.Float32frombits(binary.LittleEndian.Uint32(rec[8+4*d:]))
-		diff := float64(v - a.query[d])
+	for _, q := range query {
+		v := math.Float32frombits(binary.LittleEndian.Uint32(b[off : off+4]))
+		diff := float64(v - q)
 		sum += diff * diff
+		off += 4
 	}
 	return sum
 }
@@ -114,9 +121,30 @@ type knnRed struct {
 	top *gr.TopK
 }
 
+// Update folds one record: a one-record block.
 func (r *knnRed) Update(unit []byte) error {
-	id := int64(binary.LittleEndian.Uint64(unit[:8]))
-	r.top.Consider(gr.Scored{ID: id, Score: r.app.Distance(unit)})
+	return r.UpdateBlock(unit[:r.app.RecordSize()])
+}
+
+// UpdateBlock implements gr.BlockReducer: one loop over the group's
+// records. Once the heap is full nearly every record loses to the
+// current worst neighbour, so that score is kept in a local and the
+// heap is only touched by a record that beats it — with the same >=
+// as TopK.Consider, which stays the authority on what is kept.
+func (r *knnRed) UpdateBlock(units []byte) error {
+	top, query := r.top, r.app.query
+	rs := r.app.RecordSize()
+	worst, full := top.Worst()
+	// Offsets into the whole group, not a sub-slice per record: slicing
+	// costs more than the arithmetic it would bound.
+	for off, last := 0, len(units)-rs; off <= last; off += rs {
+		score := sqDist(query, units, off+8)
+		if full && score >= worst {
+			continue
+		}
+		top.Consider(gr.Scored{ID: int64(binary.LittleEndian.Uint64(units[off:])), Score: score})
+		worst, full = top.Worst()
+	}
 	return nil
 }
 

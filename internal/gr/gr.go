@@ -61,6 +61,15 @@ type App interface {
 	UnitCost() time.Duration
 }
 
+// BlockReducer is an optional fast path under the per-element API: a
+// Reduction that also implements it is handed each paced unit group
+// whole — a whole number of records, in chunk order — instead of one
+// Update call per unit. The result must be exactly what calling Update
+// on every record of units in order would have produced.
+type BlockReducer interface {
+	UpdateBlock(units []byte) error
+}
+
 // Summarizer is implemented by applications that can render a final
 // reduction object as a short human-readable result digest.
 type Summarizer interface {
@@ -119,7 +128,8 @@ func (e *Engine) App() App { return e.app }
 
 // ProcessChunk locally reduces every data unit in data into red,
 // working in cache-sized unit groups, and returns the number of units
-// processed. data's length must be a multiple of the record size.
+// processed. data's length must be a multiple of the record size. A
+// red that implements BlockReducer takes each group in one call.
 func (e *Engine) ProcessChunk(red Reduction, data []byte) (int, error) {
 	rs := e.app.RecordSize()
 	if rs <= 0 {
@@ -130,20 +140,35 @@ func (e *Engine) ProcessChunk(red Reduction, data []byte) (int, error) {
 	}
 	units := len(data) / rs
 	group := e.groupUnits * rs
+	block, _ := red.(BlockReducer)
 	for off := 0; off < len(data); off += group {
 		end := off + group
 		if end > len(data) {
 			end = len(data)
 		}
 		start := e.pacer.Begin()
-		for u := off; u < end; u += rs {
-			if err := red.Update(data[u : u+rs]); err != nil {
-				return 0, fmt.Errorf("gr: local reduction: %w", err)
-			}
+		var err error
+		if block != nil {
+			err = block.UpdateBlock(data[off:end])
+		} else {
+			err = updateUnits(red, data[off:end], rs)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("gr: local reduction: %w", err)
 		}
 		e.stats.AddProcessing(e.pacer.End(start, (end-off)/rs))
 	}
 	return units, nil
+}
+
+// updateUnits is the paper's per-element loop over one unit group.
+func updateUnits(red Reduction, units []byte, rs int) error {
+	for u := 0; u < len(units); u += rs {
+		if err := red.Update(units[u : u+rs]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // BufferSource provides recycled byte buffers for encoding. It is the

@@ -52,6 +52,33 @@ func BenchmarkRemoteReadAt(b *testing.B) {
 	}
 }
 
+// BenchmarkClientReadAtTCP measures the daemon data path one request
+// at a time: a 256 KiB range (Fetch's sub-range size) from a Mem-backed
+// server over loopback TCP into the caller's buffer — lent by the
+// store, written with one writev, read from the socket into place.
+func BenchmarkClientReadAtTCP(b *testing.B) {
+	m := NewMem()
+	m.Put("d", fillPattern(4<<20, 2))
+	ln, err := newLocalListener()
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := Serve(ln, m)
+	defer srv.Close()
+	c := NewClient(srv.Addr(), nil)
+	defer c.Close()
+
+	buf := make([]byte, 256<<10)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, err := c.ReadAt("d", buf, int64(i%16)<<18); err != nil || n != len(buf) {
+			b.Fatal(n, err)
+		}
+	}
+}
+
 // BenchmarkSimS3Unshaped measures the SimS3 wrapper's bookkeeping
 // overhead with shaping disabled.
 func BenchmarkSimS3Unshaped(b *testing.B) {

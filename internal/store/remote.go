@@ -51,6 +51,15 @@ type hitReader interface {
 	ReadAtHit(name string, p []byte, off int64) (int, bool, error)
 }
 
+// lender is the optional Store extension behind copy-free replies: a
+// read-only view of the stored bytes in place of a copy into a pooled
+// buffer (*Mem implements it). The view goes to the connection as the
+// reply's Data and nowhere else — above all not into the buffer pool,
+// which would hand the store's own memory out as scratch.
+type lender interface {
+	Lend(name string, off, length int64) ([]byte, error)
+}
+
 // stager is the optional Store extension behind KindStage: pull a
 // chunk into a shared cache without returning its bytes. Servers whose
 // store lacks it answer KindStage with a remote error.
@@ -145,73 +154,81 @@ func (s *Server) handle(c *wire.Conn) {
 				}
 			}
 		}
-		var resp wire.Message
-		var recycle []byte // pooled read buffer, returned after the send
-		switch req.Kind {
-		case wire.KindReadAt:
-			if req.Len < 0 || req.Len > maxReadLen {
-				resp = wire.Message{Kind: wire.KindError,
-					Err: fmt.Sprintf("store: read length %d out of range", req.Len)}
-				break
-			}
-			buf := s.pool.Get(req.Len)
-			recycle = buf
-			var n int
-			var hit bool
-			var err error
-			if hr, ok := s.store.(hitReader); ok {
-				n, hit, err = hr.ReadAtHit(req.File, buf, req.Off)
-			} else {
-				n, err = s.store.ReadAt(req.File, buf, req.Off)
-			}
-			if err != nil && err != io.EOF {
-				resp = wire.Message{Kind: wire.KindError, Err: err.Error()}
-			} else {
-				resp = wire.Message{Kind: wire.KindReadResp, Data: buf[:n], Done: err == io.EOF, Hit: hit}
-			}
-		case wire.KindStat:
-			size, err := s.store.Size(req.File)
-			if err != nil {
-				resp = wire.Message{Kind: wire.KindError, Err: err.Error()}
-			} else {
-				resp = wire.Message{Kind: wire.KindStatResp, Len: size}
-			}
-		case wire.KindList:
-			names, err := s.store.List()
-			if err != nil {
-				resp = wire.Message{Kind: wire.KindError, Err: err.Error()}
-			} else {
-				resp = wire.Message{Kind: wire.KindListResp, Files: names}
-			}
-		case wire.KindStage:
-			st, ok := s.store.(stager)
-			if !ok {
-				resp = wire.Message{Kind: wire.KindError, Err: "store: staging unsupported"}
-				break
-			}
-			if req.Len < 0 || req.Len > maxReadLen {
-				resp = wire.Message{Kind: wire.KindError,
-					Err: fmt.Sprintf("store: stage length %d out of range", req.Len)}
-				break
-			}
-			staged, err := st.Stage(req.File, req.Off, req.Len)
-			if err != nil {
-				resp = wire.Message{Kind: wire.KindError, Err: err.Error()}
-			} else {
-				resp = wire.Message{Kind: wire.KindStageResp, Len: staged}
-			}
-		default:
-			resp = wire.Message{Kind: wire.KindError, Err: fmt.Sprintf("store: unexpected %v", req.Kind)}
-		}
+		resp, recycle := s.respond(req)
 		err = c.Send(&resp)
 		if recycle != nil {
-			// Send has copied Data into the frame; the read buffer is free.
+			// Send is done with Data; the pooled read buffer is free.
 			s.pool.Put(recycle)
 		}
 		if err != nil {
 			return
 		}
 	}
+}
+
+// respond answers one request. The second result, when non-nil, is the
+// pooled buffer backing the response's Data, to be returned to the pool
+// once the response has been sent.
+func (s *Server) respond(req *wire.Message) (wire.Message, []byte) {
+	fail := func(msg string) (wire.Message, []byte) {
+		return wire.Message{Kind: wire.KindError, Err: msg}, nil
+	}
+	switch req.Kind {
+	case wire.KindReadAt:
+		if req.Len < 0 || req.Len > maxReadLen {
+			return fail(fmt.Sprintf("store: read length %d out of range", req.Len))
+		}
+		data, hit, recycle, err := s.read(req)
+		if err != nil && err != io.EOF {
+			s.pool.Put(recycle)
+			return fail(err.Error())
+		}
+		return wire.Message{Kind: wire.KindReadResp, Data: data, Done: err == io.EOF, Hit: hit}, recycle
+	case wire.KindStat:
+		size, err := s.store.Size(req.File)
+		if err != nil {
+			return fail(err.Error())
+		}
+		return wire.Message{Kind: wire.KindStatResp, Len: size}, nil
+	case wire.KindList:
+		names, err := s.store.List()
+		if err != nil {
+			return fail(err.Error())
+		}
+		return wire.Message{Kind: wire.KindListResp, Files: names}, nil
+	case wire.KindStage:
+		st, ok := s.store.(stager)
+		if !ok {
+			return fail("store: staging unsupported")
+		}
+		if req.Len < 0 || req.Len > maxReadLen {
+			return fail(fmt.Sprintf("store: stage length %d out of range", req.Len))
+		}
+		staged, err := st.Stage(req.File, req.Off, req.Len)
+		if err != nil {
+			return fail(err.Error())
+		}
+		return wire.Message{Kind: wire.KindStageResp, Len: staged}, nil
+	}
+	return fail(fmt.Sprintf("store: unexpected %v", req.Kind))
+}
+
+// read serves a KindReadAt: a view lent by the store when it can lend
+// (recycle stays nil — the view is not ours to pool), else a copy
+// into a pooled buffer, returned as recycle.
+func (s *Server) read(req *wire.Message) (data []byte, hit bool, recycle []byte, err error) {
+	if l, ok := s.store.(lender); ok {
+		data, err = l.Lend(req.File, req.Off, req.Len)
+		return data, false, nil, err
+	}
+	recycle = s.pool.Get(req.Len)
+	var n int
+	if hr, ok := s.store.(hitReader); ok {
+		n, hit, err = hr.ReadAtHit(req.File, recycle, req.Off)
+	} else {
+		n, err = s.store.ReadAt(req.File, recycle, req.Off)
+	}
+	return recycle[:n], hit, recycle, err
 }
 
 // Dialer opens a connection to a store server; netsim shapers supply
@@ -286,7 +303,10 @@ func (c *Client) Close() error {
 	return nil
 }
 
-func (c *Client) call(req *wire.Message) (*wire.Message, error) {
+// call runs one request/response exchange on a pooled connection. A
+// chunk reply's bytes land in dst (see wire.Conn.RecvInto); the other
+// requests pass nil.
+func (c *Client) call(req *wire.Message, dst []byte) (*wire.Message, error) {
 	conn, err := c.get()
 	if err != nil {
 		if errors.Is(err, errClientClosed) {
@@ -294,7 +314,7 @@ func (c *Client) call(req *wire.Message) (*wire.Message, error) {
 		}
 		return nil, &transportError{addr: c.addr, err: err}
 	}
-	resp, err := conn.Call(req)
+	resp, err := conn.CallInto(req, dst)
 	if err != nil {
 		conn.Close()
 		var re *wire.RemoteError
@@ -303,6 +323,11 @@ func (c *Client) call(req *wire.Message) (*wire.Message, error) {
 			// retry layer classifies it by content (a SlowDown retries,
 			// a not-found does not).
 			return nil, err
+		}
+		if errors.Is(err, wire.ErrOverlongReply) {
+			// The server answered more than was asked. Like a short
+			// read, that is wrong on any connection: fatal, not transient.
+			return nil, fmt.Errorf("store: remote %s: %w", c.addr, err)
 		}
 		// Transport failure: the pooled stream is broken, but a retry
 		// travels a freshly dialed one, so mark it transient.
@@ -314,18 +339,8 @@ func (c *Client) call(req *wire.Message) (*wire.Message, error) {
 
 // ReadAt implements Store.
 func (c *Client) ReadAt(name string, p []byte, off int64) (int, error) {
-	resp, err := c.call(&wire.Message{Kind: wire.KindReadAt, File: name, Off: off, Len: int64(len(p))})
-	if err != nil {
-		return 0, err
-	}
-	n := copy(p, resp.Data)
-	// The response Data landed in a pooled buffer (the conn shares
-	// c.pool); now that it is copied out, recycle it.
-	c.pool.Put(resp.Data)
-	if resp.Done || n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
+	n, _, err := c.readAt(name, p, off)
+	return n, err
 }
 
 // ReadAtHit is ReadAt plus the server's buffer-tier attribution: hit
@@ -333,12 +348,17 @@ func (c *Client) ReadAt(name string, p []byte, off int64) (int, error) {
 // its resident cache. Servers fronting a plain store always answer
 // hit=false, so the method is safe against any server.
 func (c *Client) ReadAtHit(name string, p []byte, off int64) (int, bool, error) {
-	resp, err := c.call(&wire.Message{Kind: wire.KindReadAt, File: name, Off: off, Len: int64(len(p))})
+	return c.readAt(name, p, off)
+}
+
+// readAt asks for len(p) bytes at off and has the connection deliver
+// the reply's bytes into p: no buffer of ours sits in between.
+func (c *Client) readAt(name string, p []byte, off int64) (n int, hit bool, err error) {
+	resp, err := c.call(&wire.Message{Kind: wire.KindReadAt, File: name, Off: off, Len: int64(len(p))}, p)
 	if err != nil {
 		return 0, false, err
 	}
-	n := copy(p, resp.Data)
-	c.pool.Put(resp.Data)
+	n = len(resp.Data)
 	if resp.Done || n < len(p) {
 		return n, resp.Hit, io.EOF
 	}
@@ -350,7 +370,7 @@ func (c *Client) ReadAtHit(name string, p []byte, off int64) (int, bool, error) 
 // returns the bytes the server actually staged (0 when already
 // resident). Servers without staging answer with a RemoteError.
 func (c *Client) Stage(name string, off, length int64) (int64, error) {
-	resp, err := c.call(&wire.Message{Kind: wire.KindStage, File: name, Off: off, Len: length})
+	resp, err := c.call(&wire.Message{Kind: wire.KindStage, File: name, Off: off, Len: length}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -359,7 +379,7 @@ func (c *Client) Stage(name string, off, length int64) (int64, error) {
 
 // Size implements Store.
 func (c *Client) Size(name string) (int64, error) {
-	resp, err := c.call(&wire.Message{Kind: wire.KindStat, File: name})
+	resp, err := c.call(&wire.Message{Kind: wire.KindStat, File: name}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -368,7 +388,7 @@ func (c *Client) Size(name string) (int64, error) {
 
 // List implements Store.
 func (c *Client) List() ([]string, error) {
-	resp, err := c.call(&wire.Message{Kind: wire.KindList})
+	resp, err := c.call(&wire.Message{Kind: wire.KindList}, nil)
 	if err != nil {
 		return nil, err
 	}

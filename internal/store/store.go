@@ -44,7 +44,9 @@ type Mem struct {
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem { return &Mem{objects: make(map[string][]byte)} }
 
-// Put stores (or replaces) an object. The slice is retained.
+// Put stores (or replaces) an object. The slice is retained and must
+// not be modified afterwards: objects are replaced, never mutated,
+// which is what lets Lend hand out views of them.
 func (m *Mem) Put(name string, data []byte) {
 	m.mu.Lock()
 	m.objects[name] = data
@@ -60,23 +62,39 @@ func (m *Mem) Delete(name string) {
 
 // ReadAt implements Store.
 func (m *Mem) ReadAt(name string, p []byte, off int64) (int, error) {
+	view, err := m.Lend(name, off, int64(len(p)))
+	return copy(p, view), err
+}
+
+// Lend is ReadAt without the copy: it returns a read-only view of up
+// to length bytes of the object at off, with ReadAt's errors (io.EOF
+// beside a view cut short by the object's end). The view stays valid
+// and unchanged after a later Put or Delete of the same name, which
+// swap the object rather than touch its bytes. It is not the caller's
+// to modify, and not a buffer to recycle into any pool.
+func (m *Mem) Lend(name string, off, length int64) ([]byte, error) {
 	m.mu.RLock()
 	data, ok := m.objects[name]
 	m.mu.RUnlock()
 	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	if off < 0 {
-		return 0, fmt.Errorf("store: negative offset %d", off)
+		return nil, fmt.Errorf("store: negative offset %d", off)
+	}
+	if length < 0 {
+		return nil, fmt.Errorf("store: negative length %d", length)
 	}
 	if off >= int64(len(data)) {
-		return 0, io.EOF
+		return nil, io.EOF
 	}
-	n := copy(p, data[off:])
-	if n < len(p) {
-		return n, io.EOF
+	// Capacity is clipped with the length: an append to a view must
+	// reallocate, never write into the object.
+	rest := data[off:len(data):len(data)]
+	if length > int64(len(rest)) {
+		return rest, io.EOF
 	}
-	return n, nil
+	return rest[:length:length], nil
 }
 
 // Size implements Store.

@@ -402,7 +402,30 @@ func (e *encoder) stats(s *Stats) {
 }
 
 func appendBinary(dst []byte, m *Message) []byte {
-	e := encoder{buf: append(dst, byte(m.Kind))}
+	e := encoder{buf: dst}
+	p := e.head(m)
+	if p&bitData != 0 {
+		e.buf = append(e.buf, m.Data...)
+	}
+	if p&bitFiles != 0 {
+		e.uvarint(uint64(len(m.Files)))
+		for _, f := range m.Files {
+			e.str(f)
+		}
+	}
+	if p&bitErr != 0 {
+		e.str(m.Err)
+	}
+	return e.buf
+}
+
+// head appends m's body up to and including Data's length prefix —
+// everything that precedes the Data bytes themselves — and returns the
+// presence bitmap. Conn.Send's vectored path writes head and Data as
+// two buffers; sharing head with appendBinary is what keeps that frame
+// byte-identical to Encode's.
+func (e *encoder) head(m *Message) uint64 {
+	e.buf = append(e.buf, byte(m.Kind))
 	p := presenceOf(m)
 	e.uvarint(p)
 	if p&bitSite != 0 {
@@ -460,18 +483,36 @@ func appendBinary(dst []byte, m *Message) []byte {
 		e.svarint(m.Len)
 	}
 	if p&bitData != 0 {
-		e.bytes(m.Data)
+		e.uvarint(uint64(len(m.Data)))
 	}
-	if p&bitFiles != 0 {
-		e.uvarint(uint64(len(m.Files)))
-		for _, f := range m.Files {
-			e.str(f)
-		}
+	return p
+}
+
+// readRespHeadMax bounds what precedes Data in the payload of a chunk
+// reply that carries nothing else: tag, kind, a presence bitmap of at
+// most 4 bytes (every bit is below 1<<28) and a length of at most 5
+// (MaxFrame is below 1<<35).
+const readRespHeadMax = 1 + 1 + 4 + 5
+
+// parseReadRespHead parses the start of a frame payload as a binary
+// KindReadResp whose only body field is Data (Done and Hit ride in the
+// bitmap). It returns Data's declared length and where Data begins;
+// ok is false for every other payload, including one cut short, which
+// is then Decode's to judge.
+func parseReadRespHead(b []byte) (dataLen, dataOff int, done, hit, ok bool) {
+	if len(b) < 2 || Codec(b[0]) != CodecBinary || Kind(b[1]) != KindReadResp {
+		return
 	}
-	if p&bitErr != 0 {
-		e.str(m.Err)
+	p, n := binary.Uvarint(b[2:])
+	if n <= 0 || p&bitData == 0 || p&^uint64(bitData|bitDone|bitHit) != 0 {
+		return
 	}
-	return e.buf
+	dataOff = 2 + n
+	v, n := binary.Uvarint(b[dataOff:])
+	if n <= 0 || v > MaxFrame {
+		return
+	}
+	return int(v), dataOff + n, p&bitDone != 0, p&bitHit != 0, true
 }
 
 type decoder struct {

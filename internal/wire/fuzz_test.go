@@ -1,16 +1,20 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"net"
 	"reflect"
 	"testing"
+	"testing/iotest"
 )
 
-// FuzzDecode exercises the decoder with arbitrary payloads: corrupted
-// or truncated frames must return an error — never panic, never
-// over-allocate (the decoder bounds every length claim against the
-// remaining bytes). Valid payloads must re-encode to a message that
-// round trips stably.
-func FuzzDecode(f *testing.F) {
+// fuzzSeedPayloads is the corpus both fuzz targets start from: every
+// message shape under both codecs, whole and truncated, plus two
+// hand-made corruptions.
+func fuzzSeedPayloads(f *testing.F) [][]byte {
 	seeds := []*Message{
 		{Kind: KindHeartbeat},
 		fullMessage(),
@@ -23,18 +27,28 @@ func FuzzDecode(f *testing.F) {
 		{Kind: KindObjectPart, Seq: 1, Off: 0, Data: []byte("first part bytes")},
 		{Kind: KindObjectPart, Seq: 3, Off: 2 << 20, Last: true},
 	}
+	var out [][]byte
 	for _, m := range seeds {
 		for _, codec := range []Codec{CodecBinary, CodecGob} {
 			enc, err := Encode(nil, m, codec)
 			if err != nil {
 				f.Fatal(err)
 			}
-			f.Add(enc)
-			f.Add(enc[:len(enc)/2]) // truncation
+			out = append(out, enc, enc[:len(enc)/2]) // whole, truncated
 		}
 	}
-	f.Add([]byte{})
-	f.Add([]byte{byte(CodecBinary), byte(KindAck), 0xff, 0xff, 0xff, 0x7f})
+	return append(out, []byte{}, []byte{byte(CodecBinary), byte(KindAck), 0xff, 0xff, 0xff, 0x7f})
+}
+
+// FuzzDecode exercises the decoder with arbitrary payloads: corrupted
+// or truncated frames must return an error — never panic, never
+// over-allocate (the decoder bounds every length claim against the
+// remaining bytes). Valid payloads must re-encode to a message that
+// round trips stably.
+func FuzzDecode(f *testing.F) {
+	for _, payload := range fuzzSeedPayloads(f) {
+		f.Add(payload)
+	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		m, err := Decode(payload, nil)
@@ -55,6 +69,74 @@ func FuzzDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(m, m2) {
 			t.Fatalf("round trip not stable:\n first %+v\nsecond %+v", m, m2)
+		}
+	})
+}
+
+// streamConn is a net.Conn that only reads, from r.
+type streamConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c streamConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+
+// FuzzReadInto frames arbitrary payload bytes and feeds them through
+// RecvInto — the path that parses a reply's head itself and reads Data
+// straight into the caller's memory — with a fixed destination fenced
+// by guard bytes. It must never panic, never write outside the
+// destination, and agree with Decode: reject what Decode rejects, and
+// return the message Decode returns, Data delivered in the destination
+// (or ErrOverlongReply when a chunk reply does not fit). Bytes arrive
+// whole or one at a time.
+func FuzzReadInto(f *testing.F) {
+	for _, payload := range fuzzSeedPayloads(f) {
+		f.Add(payload, false)
+		f.Add(payload, true)
+	}
+	for _, n := range []int{0, 1, 63, 64, 65, 300} { // around the destination's size
+		for _, m := range []*Message{
+			{Kind: KindReadResp, Data: bytes.Repeat([]byte{7}, n)},
+			{Kind: KindReadResp, Data: bytes.Repeat([]byte{8}, n), Done: true, Hit: true},
+		} {
+			enc, _ := Encode(nil, m, CodecBinary)
+			f.Add(enc, false)
+			f.Add(append(enc, 0), true)   // declared length below the remainder
+			f.Add(enc[:len(enc)-1], true) // and above it
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, payload []byte, trickle bool) {
+		const size = 64
+		dst, intact := guarded(t, size)
+
+		var r io.Reader = bytes.NewReader(append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...))
+		if trickle {
+			r = iotest.OneByteReader(r)
+		}
+		got, err := NewConn(streamConn{r: r}).RecvInto(dst)
+
+		intact()
+		want, derr := Decode(payload, nil)
+		switch {
+		case len(payload) == 0 || derr != nil:
+			if err == nil {
+				t.Fatalf("RecvInto accepted a payload Decode rejects (%v): %+v", derr, got)
+			}
+		case want.Kind == KindReadResp && len(want.Data) > size:
+			if !errors.Is(err, ErrOverlongReply) {
+				t.Fatalf("%d-byte reply into %d bytes: err = %v", len(want.Data), size, err)
+			}
+		default:
+			if err != nil {
+				t.Fatalf("RecvInto rejected a payload Decode accepts: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("RecvInto and Decode disagree:\n got %+v\nwant %+v", got, want)
+			}
+			if want.Kind == KindReadResp && len(got.Data) > 0 && &got.Data[0] != &dst[0] {
+				t.Fatal("chunk reply not delivered in the destination")
+			}
 		}
 	})
 }

@@ -3,14 +3,17 @@
 // slave, and store client <-> store server. Messages are encoded with
 // a hand-rolled binary codec (see codec.go; gob remains available as
 // a tagged fallback) and carried in length-prefixed frames so that
-// each logical message maps to a single write on the connection —
-// which is what lets the netsim layer charge link latency per message
-// burst the way a real request/response protocol would pay it.
+// each logical message maps to a single write call on the connection
+// — which is what lets the netsim layer charge link latency per
+// message burst the way a real request/response protocol would pay it.
 //
 // Encode buffers and frame payloads are recycled through an optional
 // BufferSource (SetBufferPool), so the steady-state control plane
-// allocates nothing per message and a chunk-read response lands in a
-// pooled buffer instead of a fresh multi-megabyte allocation.
+// allocates nothing per message. The one bulk message, a store's chunk
+// reply, is not copied at all on a raw TCP socket: the sender hands
+// head and Data to the kernel as one vectored write, and a receiver
+// that says where the bytes belong (RecvInto) has them read from the
+// socket straight into place.
 package wire
 
 import (
@@ -282,12 +285,21 @@ const recvProbe = 256 << 10
 // retained between messages when no BufferSource is configured.
 const scratchMax = 1 << 20
 
+// vectoredMin is the smallest Data worth a vectored write; below it,
+// copying into the frame is cheaper than a second iovec.
+const vectoredMin = 16 << 10
+
 // Conn wraps a net.Conn with framed binary message I/O. Reads and
 // writes are independently serialized, so one goroutine may read while
 // another writes, but concurrent writers queue behind a mutex to keep
 // frames intact.
 type Conn struct {
 	c net.Conn
+	// tcp is c when it is a raw TCP socket, the one connection type on
+	// which two buffers reach the kernel as a single writev. Everything
+	// else — a netsim.ShapedConn above all, which charges latency and
+	// consults its fault plan per Write — keeps one Write per message.
+	tcp *net.TCPConn
 
 	// idle and writeTimeout arm per-operation deadlines (stall
 	// detection); they are stored atomically so a heartbeater may run
@@ -302,13 +314,20 @@ type Conn struct {
 	wbuf []byte // encode scratch when no pool is set; guarded by wmu
 	rmu  sync.Mutex
 	rbuf []byte // frame scratch when no pool is set; guarded by rmu
+	// rhead receives the 4-byte length and then the first bytes of the
+	// payload; guarded by rmu. A field, not a local, because a buffer
+	// handed to an interface's Read escapes to the heap.
+	rhead [4 + readRespHeadMax]byte
 }
 
 // poolBox wraps the BufferSource interface for atomic swapping.
 type poolBox struct{ p BufferSource }
 
 // NewConn wraps c.
-func NewConn(c net.Conn) *Conn { return &Conn{c: c} }
+func NewConn(c net.Conn) *Conn {
+	tcp, _ := c.(*net.TCPConn)
+	return &Conn{c: c, tcp: tcp}
+}
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.c.Close() }
@@ -441,80 +460,130 @@ func HeartbeatsWith(c *Conn, interval time.Duration, logf func(string, ...any)) 
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// Send encodes m and writes it as one frame (one underlying write).
-// The encode buffer comes from the connection's pool (or a retained
-// scratch buffer), so the steady state allocates nothing.
+// Send encodes m and writes it as one frame with one call on the
+// underlying connection: a single Write, or on a raw TCP socket a
+// single writev for a chunk reply (see sendVectored). The encode buffer
+// comes from the connection's pool (or a retained scratch buffer), so
+// the steady state allocates nothing.
 func (c *Conn) Send(m *Message) error {
 	codec := DefaultCodec()
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-
-	pool := c.bufferPool()
-	var buf []byte
-	pooled := false
-	if codec == CodecBinary && pool != nil {
-		// MaxEncodedSize is a strict upper bound, so the append below
-		// never outgrows the pooled buffer and Put always recycles it.
-		buf = pool.Get(int64(4 + MaxEncodedSize(m)))[:4]
-		pooled = true
-	} else if cap(c.wbuf) >= 4 {
-		buf = c.wbuf[:4]
-	} else {
-		buf = make([]byte, 4, 4096)
+	if c.tcp != nil && codec == CodecBinary && isBulkRead(m) {
+		return c.sendVectored(m)
 	}
-
+	buf, pool := c.encodeBuffer(m, codec)
 	buf, err := Encode(buf, m, codec)
 	if err != nil {
 		return err
 	}
-	release := func() {
-		if pooled {
-			pool.Put(buf)
-		} else if cap(buf) <= scratchMax {
-			c.wbuf = buf[:0]
-		}
+	defer c.releaseEncode(buf, pool)
+	if err := c.startFrame(buf, len(buf)-4); err != nil {
+		return err
 	}
-	payload := len(buf) - 4
-	if payload > c.frameCap() {
-		release()
-		return fmt.Errorf("wire: frame too large: %d", payload)
-	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(payload))
-
-	if d := c.writeTimeout.Load(); d > 0 {
-		c.c.SetWriteDeadline(time.Now().Add(time.Duration(d)))
-	}
-	_, werr := c.c.Write(buf)
-	release()
-	if werr != nil {
-		return fmt.Errorf("wire: write %v: %w", m.Kind, werr)
+	if _, err := c.c.Write(buf); err != nil {
+		return fmt.Errorf("wire: write %v: %w", m.Kind, err)
 	}
 	return nil
 }
+
+// encodeBuffer returns the 4-byte frame header slot of the buffer Send
+// encodes into, and the pool it came from (nil for connection scratch).
+func (c *Conn) encodeBuffer(m *Message, codec Codec) ([]byte, BufferSource) {
+	if pool := c.bufferPool(); codec == CodecBinary && pool != nil {
+		// MaxEncodedSize is a strict upper bound, so the encode never
+		// outgrows the pooled buffer and Put always recycles it.
+		return pool.Get(int64(4 + MaxEncodedSize(m)))[:4], pool
+	}
+	if cap(c.wbuf) >= 4 {
+		return c.wbuf[:4], nil
+	}
+	return make([]byte, 4, 4096), nil
+}
+
+func (c *Conn) releaseEncode(buf []byte, pool BufferSource) {
+	if pool != nil {
+		pool.Put(buf)
+	} else if cap(buf) <= scratchMax {
+		c.wbuf = buf[:0]
+	}
+}
+
+// startFrame checks a payload-byte frame against the cap, writes its
+// length into hdr[:4] and arms the write deadline.
+func (c *Conn) startFrame(hdr []byte, payload int) error {
+	if payload > c.frameCap() {
+		return fmt.Errorf("wire: frame too large: %d", payload)
+	}
+	binary.BigEndian.PutUint32(hdr[:4], uint32(payload))
+	if d := c.writeTimeout.Load(); d > 0 {
+		c.c.SetWriteDeadline(time.Now().Add(time.Duration(d)))
+	}
+	return nil
+}
+
+// isBulkRead reports whether m is a chunk reply big enough to send
+// without copying: nothing is encoded after its Data.
+func isBulkRead(m *Message) bool {
+	return m.Kind == KindReadResp && len(m.Data) >= vectoredMin && m.Files == nil && m.Err == ""
+}
+
+// sendVectored writes m — for which isBulkRead holds — as two buffers
+// in one writev: the encoded head in connection scratch, and m.Data
+// where it lies. The bytes on the wire are exactly Encode's. Data is
+// only read, and only until Send returns, so a store may pass memory it
+// merely lends. Called with wmu held, which covers both buffers: no
+// other frame can land between them.
+func (c *Conn) sendVectored(m *Message) error {
+	e := encoder{buf: append(c.wbuf[:0], 0, 0, 0, 0, byte(CodecBinary))}
+	e.head(m)
+	c.wbuf = e.buf[:0]
+	if err := c.startFrame(e.buf, len(e.buf)-4+len(m.Data)); err != nil {
+		return err
+	}
+	bufs := net.Buffers{e.buf, m.Data}
+	if _, err := bufs.WriteTo(c.tcp); err != nil {
+		return fmt.Errorf("wire: write %v: %w", m.Kind, err)
+	}
+	return nil
+}
+
+// ErrOverlongReply is RecvInto's error for a chunk reply carrying more
+// bytes than the destination holds: the peer answered more than was
+// asked, a protocol violation rather than a transport failure.
+var ErrOverlongReply = errors.New("wire: chunk reply longer than the read that asked for it")
 
 // Recv reads the next frame and decodes it. The frame buffer is
 // recycled immediately; the returned Message owns all its memory
 // (Data and Object live in pooled buffers when a pool is set — hand
 // them back with Recycle when done).
-func (c *Conn) Recv() (*Message, error) {
+func (c *Conn) Recv() (*Message, error) { return c.recv(nil, false) }
+
+// RecvInto is Recv for a caller awaiting a chunk reply whose bytes
+// belong in p: a KindReadResp comes back with Data == p[:n], and one
+// that does not fit fails with ErrOverlongReply. When the frame is a
+// binary reply carrying only Data, the bytes are read from the
+// connection directly into p and never touch a frame buffer. Any
+// other message is returned exactly as Recv would return it.
+func (c *Conn) RecvInto(p []byte) (*Message, error) { return c.recv(p, true) }
+
+func (c *Conn) recv(p []byte, into bool) (*Message, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	if d := c.idle.Load(); d > 0 {
-		c.c.SetReadDeadline(time.Now().Add(time.Duration(d)))
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.c, hdr[:]); err != nil {
+	n, err := c.readFrameLen()
+	if err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n > c.frameCap() {
-		return nil, fmt.Errorf("wire: oversized frame: %d", n)
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("wire: empty frame")
-	}
 	pool := c.bufferPool()
-	payload, err := c.readPayload(n, pool)
+	var head []byte // payload bytes readDirect consumed without finishing the frame
+	if into {
+		m, h, err := c.readDirect(n, p)
+		if m != nil || err != nil {
+			return m, err
+		}
+		head = h
+	}
+	payload, err := c.readPayload(n, head, pool)
 	if err != nil {
 		return nil, fmt.Errorf("wire: short frame: %w", err)
 	}
@@ -526,17 +595,79 @@ func (c *Conn) Recv() (*Message, error) {
 	} else if cap(payload) > cap(c.rbuf) && cap(payload) <= scratchMax {
 		c.rbuf = payload[:0]
 	}
-	if derr != nil {
-		return nil, derr
+	if derr != nil || !into {
+		return m, derr
 	}
+	return landIn(m, p, pool)
+}
+
+// readFrameLen arms the idle deadline for the whole frame and reads
+// its length header.
+func (c *Conn) readFrameLen() (int, error) {
+	if d := c.idle.Load(); d > 0 {
+		c.c.SetReadDeadline(time.Now().Add(time.Duration(d)))
+	}
+	hdr := c.rhead[:4]
+	if _, err := io.ReadFull(c.c, hdr); err != nil {
+		return 0, err
+	}
+	n := int(binary.BigEndian.Uint32(hdr))
+	if n > c.frameCap() {
+		return 0, fmt.Errorf("wire: oversized frame: %d", n)
+	}
+	if n == 0 {
+		return 0, fmt.Errorf("wire: empty frame")
+	}
+	return n, nil
+}
+
+// readDirect reads the first bytes of an n-byte frame and, when they
+// announce a chunk reply that is nothing but Data — of exactly the
+// frame's remaining length, and no more than p holds — reads that Data
+// from the connection into p. For any other frame it returns the
+// payload bytes it consumed, for readPayload to continue from.
+func (c *Conn) readDirect(n int, p []byte) (*Message, []byte, error) {
+	head := c.rhead[4:]
+	if n < len(head) {
+		head = head[:n]
+	}
+	if _, err := io.ReadFull(c.c, head); err != nil {
+		return nil, nil, fmt.Errorf("wire: short frame: %w", err)
+	}
+	dataLen, dataOff, done, hit, ok := parseReadRespHead(head)
+	if !ok || dataLen != n-dataOff || dataLen > len(p) {
+		return nil, head, nil
+	}
+	got := copy(p, head[dataOff:])
+	if _, err := io.ReadFull(c.c, p[got:dataLen]); err != nil {
+		return nil, nil, fmt.Errorf("wire: short frame: %w", err)
+	}
+	return &Message{Kind: KindReadResp, Data: p[:dataLen], Done: done, Hit: hit}, nil, nil
+}
+
+// landIn moves the Data of a chunk reply that took the Decode path
+// into p, recycling the buffer Decode drew for it.
+func landIn(m *Message, p []byte, pool BufferSource) (*Message, error) {
+	if m.Kind != KindReadResp {
+		return m, nil
+	}
+	data := m.Data
+	if pool != nil {
+		defer pool.Put(data)
+	}
+	if len(data) > len(p) {
+		return nil, fmt.Errorf("%w: %d bytes for %d", ErrOverlongReply, len(data), len(p))
+	}
+	m.Data = p[:copy(p, data)]
 	return m, nil
 }
 
-// readPayload reads an n-byte frame body. Frames larger than
-// recvProbe are read incrementally: the full allocation is only
-// committed after the first recvProbe bytes actually arrive, bounding
-// what a corrupted length header can cost.
-func (c *Conn) readPayload(n int, pool BufferSource) ([]byte, error) {
+// readPayload reads an n-byte frame body whose first len(head) bytes
+// have been read already. Frames larger than recvProbe are read
+// incrementally: the full allocation is only committed after the first
+// recvProbe bytes actually arrive, bounding what a corrupted length
+// header can cost.
+func (c *Conn) readPayload(n int, head []byte, pool BufferSource) ([]byte, error) {
 	get := func(sz int) []byte {
 		if pool != nil {
 			return pool.Get(int64(sz))
@@ -548,13 +679,13 @@ func (c *Conn) readPayload(n int, pool BufferSource) ([]byte, error) {
 	}
 	if n <= recvProbe {
 		buf := get(n)
-		if _, err := io.ReadFull(c.c, buf); err != nil {
+		if _, err := io.ReadFull(c.c, buf[copy(buf, head):]); err != nil {
 			return nil, err
 		}
 		return buf, nil
 	}
 	probe := get(recvProbe)
-	if _, err := io.ReadFull(c.c, probe); err != nil {
+	if _, err := io.ReadFull(c.c, probe[copy(probe, head):]); err != nil {
 		return nil, err
 	}
 	var full []byte
@@ -578,11 +709,17 @@ func (c *Conn) readPayload(n int, pool BufferSource) ([]byte, error) {
 // Call sends m and waits for the next message, a convenience for
 // strict request/response exchanges on a connection owned by one
 // goroutine.
-func (c *Conn) Call(m *Message) (*Message, error) {
+func (c *Conn) Call(m *Message) (*Message, error) { return c.call(m, nil, false) }
+
+// CallInto is Call with RecvInto(p) on the receiving side: for the
+// request whose answer is a chunk reply destined for p.
+func (c *Conn) CallInto(m *Message, p []byte) (*Message, error) { return c.call(m, p, true) }
+
+func (c *Conn) call(m *Message, p []byte, into bool) (*Message, error) {
 	if err := c.Send(m); err != nil {
 		return nil, err
 	}
-	resp, err := c.Recv()
+	resp, err := c.recv(p, into)
 	if err != nil {
 		return nil, err
 	}

@@ -13,19 +13,24 @@ go test ./...
 # The benchmark is its own module (benchmark/go.mod), outside ./...:
 # its smoke test runs every workload once against the oracle.
 (cd benchmark && go test ./...)
-go test -race ./internal/cluster/ ./internal/store/ ./internal/chunk/ ./internal/driver/ ./internal/elastic/ ./internal/gr/ ./internal/advisor/
+go test -race ./internal/cluster/ ./internal/store/ ./internal/chunk/ ./internal/driver/ ./internal/elastic/ ./internal/gr/ ./internal/advisor/ ./internal/wire/ ./internal/apps/
 # Dynamic membership (mid-run joins, drain-vs-steal races, elastic
 # end-to-end) is the most race-prone surface, streamed sync adds
 # concurrent merges fed from connection handlers, and the exchange a
 # head-side sender and a master-side reader per head connection: run
 # them twice under the race detector so a lucky interleaving can't
-# hide a regression.
-go test -race -count=2 -run 'Join|Drain|Elastic|Spot|Preempt|Checkpoint|Revocation|Buffer|Merge|Sync|Exchange|HeadReader' ./internal/cluster/ ./internal/gr/
+# hide a regression. The copy-free chunk-reply path (vectored write,
+# direct read, lent views) shares one connection between a replying
+# handler, heartbeats and an object swap, so its tests ride along.
+go test -race -count=2 -run 'Join|Drain|Elastic|Spot|Preempt|Checkpoint|Revocation|Buffer|Merge|Sync|Exchange|HeadReader|BlockPath' ./internal/cluster/ ./internal/gr/
+go test -race -count=2 -run 'Vectored|OneWritePerSend|RecvInto|DirectRead|BadReplies|Overlong|LentView|BlockKernel' ./internal/wire/ ./internal/store/ ./internal/apps/
 # The wire codec owns every byte on every connection: fuzz the decoder
-# briefly (corrupt frames must error, never panic) and run the codec
+# and the direct-read path briefly (corrupt frames must error, never
+# panic, never write outside the destination) and run the codec
 # microbench as a correctness smoke (both codecs, round trips checked,
 # full-pipeline digest equality binary vs gob).
 go test -run '^$' -fuzz FuzzDecode -fuzztime 5s ./internal/wire/
+go test -run '^$' -fuzz FuzzReadInto -fuzztime 5s ./internal/wire/
 go run ./cmd/cbbench -experiment wire -records-divisor 100 -scale 0.0001 -benchtime 50ms >/dev/null
 go run ./cmd/cbbench -experiment overlap -records-divisor 100 -scale 0.0001 >/dev/null
 # Digest invariance across the autotune grid; win ratios are asserted
