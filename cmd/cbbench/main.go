@@ -29,16 +29,15 @@ import (
 func main() {
 	var (
 		experiment = flag.String("experiment", "all",
-			"one of: all, fig1, fig3a, fig3b, fig3c, fig3, table1, table2, fig4a, fig4b, fig4c, fig4, summary, ablation, cost, chaos, overlap, autotune, elastic, advisor, spot, wire, buffer, sync")
+			"one of: all, fig1, fig3a, fig3b, fig3c, fig3, table1, table2, fig4a, fig4b, fig4c, fig4, summary, ablation, cost, chaos, overlap, autotune, elastic, advisor, spot, buffer, sync")
 		scale   = flag.Float64("scale", 0, "clock scale override (wall s per emulated s)")
 		divisor = flag.Int64("records-divisor", 1, "shrink data sets (and jobs) by this factor")
 		verbose = flag.Bool("v", false, "log cluster progress")
 
 		overlapIters = flag.Int("overlap-iters", 3, "overlap/buffer: pagerank power iterations")
-		jsonPath     = flag.String("json", "", "overlap/autotune/elastic/advisor/spot/wire/buffer/sync: also write results as JSON to this file")
-		checkWin     = flag.Bool("check-win", false, "autotune/elastic/advisor/spot/wire/buffer/sync: fail unless the acceptance criteria are met")
+		jsonPath     = flag.String("json", "", "overlap/autotune/elastic/advisor/spot/buffer/sync: also write results as JSON to this file")
+		checkWin     = flag.Bool("check-win", false, "autotune/elastic/advisor/spot/buffer/sync: fail unless the acceptance criteria are met")
 		historyDir   = flag.String("history-dir", "", "advisor: burst-history database directory (empty = throwaway temp dir)")
-		benchtime    = flag.Duration("benchtime", time.Second, "wire: microbench duration per (scenario, codec) cell")
 
 		faultSeed      = flag.Int64("fault-seed", 42, "chaos: fault plan seed")
 		faultTransient = flag.Float64("fault-transient", 0.02, "chaos: per-request transient fault probability")
@@ -421,43 +420,6 @@ func main() {
 		}
 	}
 
-	runWire := func() {
-		res, err := bench.WireMicrobench(*benchtime, logf)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WirePipelineCompare(res, specs["a"], sim, logf); err != nil {
-			fatal(err)
-		}
-		fmt.Println(bench.RenderWire("binary codec vs gob baseline", res))
-		if *jsonPath != "" {
-			out, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*jsonPath, append(out, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wire results written to %s\n", *jsonPath)
-		}
-		if !res.Match {
-			fatal(fmt.Errorf("pipeline digests diverged between codecs"))
-		}
-		if *checkWin {
-			for _, sc := range []string{"jobgrant", "readresp"} {
-				if res.Speedup[sc] < 2 {
-					fatal(fmt.Errorf("wire %s speedup %.2fx is below the required 2x", sc, res.Speedup[sc]))
-				}
-				if res.AllocReduction[sc] < 5 {
-					fatal(fmt.Errorf("wire %s alloc reduction %.2fx is below the required 5x", sc, res.AllocReduction[sc]))
-				}
-			}
-			fmt.Printf("wire win check: jobgrant %.1fx/%.1fx, readresp %.1fx/%.1fx (throughput/allocs), digests identical ✓\n",
-				res.Speedup["jobgrant"], res.AllocReduction["jobgrant"],
-				res.Speedup["readresp"], res.AllocReduction["readresp"])
-		}
-	}
-
 	runBuffer := func() {
 		knn, err := bench.BufferSinglePass(specs["a"], sim, logf)
 		if err != nil {
@@ -605,8 +567,6 @@ func main() {
 		runAdvisor()
 	case "spot":
 		runSpot()
-	case "wire":
-		runWire()
 	case "buffer":
 		runBuffer()
 	case "sync":

@@ -161,9 +161,9 @@ func scriptedServer(t *testing.T, reply func(req *wire.Message) []byte) (addr st
 
 // frame is m as it travels: Encode's payload behind its length. It runs
 // on server goroutines, hence Error rather than Fatal.
-func frame(t *testing.T, m *wire.Message, codec wire.Codec) []byte {
+func frame(t *testing.T, m *wire.Message) []byte {
 	t.Helper()
-	payload, err := wire.Encode(nil, m, codec)
+	payload, err := wire.Encode(nil, m, wire.CodecBinary)
 	if err != nil {
 		t.Error(err)
 	}
@@ -183,19 +183,19 @@ func TestClientRejectsBadReplies(t *testing.T) {
 		overlong bool
 	}{
 		{"over-long, direct path", func(*wire.Message) []byte {
-			return frame(t, &wire.Message{Kind: wire.KindReadResp, Data: long}, wire.CodecBinary)
+			return frame(t, &wire.Message{Kind: wire.KindReadResp, Data: long})
 		}, true},
 		{"over-long, decode path", func(*wire.Message) []byte {
-			return frame(t, &wire.Message{Kind: wire.KindReadResp, Data: long, Hit: true}, wire.CodecGob)
+			return frame(t, &wire.Message{Kind: wire.KindReadResp, Data: long, Hit: true, Len: 7})
 		}, true},
 		{"length above the frame remainder", func(req *wire.Message) []byte {
-			f := frame(t, &wire.Message{Kind: wire.KindReadResp, Data: long[:req.Len]}, wire.CodecBinary)
+			f := frame(t, &wire.Message{Kind: wire.KindReadResp, Data: long[:req.Len]})
 			f = f[:len(f)-10]
 			binary.BigEndian.PutUint32(f, uint32(len(f)-4))
 			return f
 		}, false},
 		{"length below the frame remainder", func(req *wire.Message) []byte {
-			f := append(frame(t, &wire.Message{Kind: wire.KindReadResp, Data: long[:req.Len-10]}, wire.CodecBinary), make([]byte, 10)...)
+			f := append(frame(t, &wire.Message{Kind: wire.KindReadResp, Data: long[:req.Len-10]}), make([]byte, 10)...)
 			binary.BigEndian.PutUint32(f, uint32(len(f)-4))
 			return f
 		}, false},
@@ -235,7 +235,7 @@ func TestFetchSurfacesOverlongReply(t *testing.T) {
 	var requests atomic.Int32
 	addr, _ := scriptedServer(t, func(req *wire.Message) []byte {
 		requests.Add(1)
-		return frame(t, &wire.Message{Kind: wire.KindReadResp, Data: make([]byte, req.Len+1)}, wire.CodecBinary)
+		return frame(t, &wire.Message{Kind: wire.KindReadResp, Data: make([]byte, req.Len+1)})
 	})
 	cl := NewClient(addr, nil)
 	defer cl.Close()

@@ -127,12 +127,13 @@ func TestFetchProperty(t *testing.T) {
 }
 
 // faultAtOffset fails reads starting at a given offset until the
-// failure budget is used up, then serves normally.
+// failure budget is used up, then serves normally. Only the one
+// sub-range at off touches fails, so concurrent fetch threads share it
+// without a lock.
 type faultAtOffset struct {
 	*Mem
 	off   int64
 	fails int
-	calls int
 }
 
 func (f *faultAtOffset) ReadAt(name string, p []byte, off int64) (int, error) {
@@ -140,7 +141,6 @@ func (f *faultAtOffset) ReadAt(name string, p []byte, off int64) (int, error) {
 		f.fails--
 		return 0, faults.ErrTransient
 	}
-	f.calls++
 	return f.Mem.ReadAt(name, p, off)
 }
 

@@ -93,28 +93,26 @@ func benchGrant() *Message {
 }
 
 // BenchmarkEncodeDecode measures a pure in-memory encode+decode round
-// trip per codec — the microbench behind BENCH_wire.json.
+// trip on the control plane's and the data plane's hottest shapes.
 func BenchmarkEncodeDecode(b *testing.B) {
 	msgs := map[string]*Message{
 		"jobgrant": benchGrant(),
 		"readresp": {Kind: KindReadResp, Data: make([]byte, 256<<10)},
 	}
 	for name, m := range msgs {
-		for _, codec := range []Codec{CodecBinary, CodecGob} {
-			b.Run(name+"/"+codec.String(), func(b *testing.B) {
-				b.ReportAllocs()
-				var buf []byte
-				for i := 0; i < b.N; i++ {
-					var err error
-					buf, err = Encode(buf[:0], m, codec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := Decode(buf, nil); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var buf []byte
+			for i := 0; i < b.N; i++ {
+				var err error
+				buf, err = Encode(buf[:0], m, CodecBinary)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if _, err := Decode(buf, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

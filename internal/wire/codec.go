@@ -1,13 +1,10 @@
 // Binary wire codec: a hand-rolled, length-prefixed format for
-// Message that replaces per-message gob encoding on every connection.
+// Message, spoken on every connection.
 //
-// Each frame payload starts with a one-byte codec tag, so receivers
-// decode either format regardless of what the sender was configured
-// with — that is the escape hatch that lets a run fall back to gob
-// (CLOUDBURST_WIRE_CODEC=gob, or SetDefaultCodec) while the digest
-// equality of the two codecs is still testable in-tree.
+// Each frame payload starts with the one-byte codec tag 0x01;
+// receivers reject any other tag.
 //
-// The binary body is:
+// The body is:
 //
 //	kind      uint8
 //	presence  uvarint bitmap (one bit per Message field, see bit*)
@@ -16,23 +13,18 @@
 // Presence bits carry real protocol meaning for the nil-able slice
 // fields: a set bit with count 0 decodes to a non-nil empty slice,
 // which is how "report present but empty" (a drained cache, a drain
-// that returned nothing) stays distinguishable from "no report" — the
-// distinction gob dropped, forcing the old HasResident/HasReturned
-// flag workarounds. Bool fields live entirely in the bitmap and cost
-// zero body bytes. Integers are zigzag varints; strings go through a
-// small per-message dictionary so repeated file and site names (every
-// multi-job grant) are encoded once.
+// that returned nothing) stays distinguishable from "no report". Bool
+// fields live entirely in the bitmap and cost zero body bytes.
+// Integers are zigzag varints; strings go through a small per-message
+// dictionary so repeated file and site names (every multi-job grant)
+// are encoded once.
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"os"
 	"reflect"
-	"sync/atomic"
 
 	"cloudburst/internal/metrics"
 )
@@ -41,48 +33,10 @@ import (
 // byte of every frame.
 type Codec uint8
 
-const (
-	// CodecBinary is the hand-rolled zero-copy-friendly format.
-	CodecBinary Codec = 0x01
-	// CodecGob is the legacy gob encoding, kept for one release as an
-	// escape hatch and as the baseline the binary codec is digest- and
-	// benchmark-compared against.
-	CodecGob Codec = 0x02
-)
-
-func (c Codec) String() string {
-	switch c {
-	case CodecBinary:
-		return "binary"
-	case CodecGob:
-		return "gob"
-	}
-	return fmt.Sprintf("codec(%d)", uint8(c))
-}
-
-// defaultCodec is what Send uses; Recv always auto-detects from the
-// payload tag, so mixed deployments interoperate.
-var defaultCodec atomic.Uint32
-
-func init() {
-	defaultCodec.Store(uint32(CodecBinary))
-	if os.Getenv("CLOUDBURST_WIRE_CODEC") == "gob" {
-		defaultCodec.Store(uint32(CodecGob))
-	}
-}
-
-// SetDefaultCodec selects the codec every subsequent Send encodes
-// with. The environment variable CLOUDBURST_WIRE_CODEC=gob selects
-// the legacy codec at startup.
-func SetDefaultCodec(c Codec) {
-	switch c {
-	case CodecBinary, CodecGob:
-		defaultCodec.Store(uint32(c))
-	}
-}
-
-// DefaultCodec returns the codec Send currently encodes with.
-func DefaultCodec() Codec { return Codec(defaultCodec.Load()) }
+// CodecBinary is the only codec. Its tag leads every payload, so a
+// peer speaking any other encoding fails on its first frame instead of
+// being misparsed.
+const CodecBinary Codec = 0x01
 
 // BufferSource recycles byte buffers; *store.BufferPool satisfies it.
 // A nil source degrades every Get into a fresh allocation.
@@ -135,126 +89,35 @@ var snapshotFields = reflect.TypeOf(metrics.Snapshot{}).NumField()
 var errCorrupt = errors.New("wire: corrupt frame")
 
 // Encode appends m's frame payload (codec tag + body) to dst and
-// returns the extended slice. For CodecBinary the append never
-// exceeds MaxEncodedSize(m) bytes, so a caller that pre-sizes dst
-// gets a zero-allocation encode.
+// returns the extended slice; codec must be CodecBinary. The append
+// never exceeds MaxEncodedSize(m) bytes, so a caller that pre-sizes
+// dst gets a zero-allocation encode.
 func Encode(dst []byte, m *Message, codec Codec) ([]byte, error) {
-	switch codec {
-	case CodecBinary:
-		return appendBinary(append(dst, byte(CodecBinary)), m), nil
-	case CodecGob:
-		dst = append(dst, byte(CodecGob))
-		w := sliceWriter{b: dst}
-		env := gobEnvelope{M: *m, Present: slicePresence(m)}
-		if err := gob.NewEncoder(&w).Encode(&env); err != nil {
-			return nil, fmt.Errorf("wire: encode %v: %w", m.Kind, err)
-		}
-		return w.b, nil
+	if codec != CodecBinary {
+		return nil, fmt.Errorf("wire: unknown codec 0x%02x", uint8(codec))
 	}
-	return nil, fmt.Errorf("wire: unknown codec %v", codec)
+	return appendBinary(append(dst, byte(CodecBinary)), m), nil
 }
 
 // Decode parses one frame payload (as produced by Encode) into a
 // fresh Message that shares no memory with payload. Data and Object
 // are copied into buffers from pool when one is supplied; callers
 // done with them may hand them back via pool.Put (or Conn.Recycle).
-// Corrupted or truncated payloads return an error, never panic.
+// Corrupted or truncated payloads, and payloads under any other codec
+// tag, return an error, never panic.
 func Decode(payload []byte, pool BufferSource) (*Message, error) {
 	if len(payload) < 2 {
 		return nil, errCorrupt
 	}
-	switch Codec(payload[0]) {
-	case CodecBinary:
-		return decodeBinary(payload[1:], pool)
-	case CodecGob:
-		var env gobEnvelope
-		if err := gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&env); err != nil {
-			return nil, fmt.Errorf("wire: decode: %w", err)
-		}
-		m := env.M
-		restoreSlicePresence(&m, env.Present)
-		return &m, nil
+	if Codec(payload[0]) != CodecBinary {
+		return nil, fmt.Errorf("wire: unknown codec tag 0x%02x", payload[0])
 	}
-	return nil, fmt.Errorf("wire: unknown codec tag 0x%02x", payload[0])
-}
-
-// gobEnvelope wraps a Message for the legacy codec. Present records
-// which slice fields were non-nil at encode time: gob turns empty
-// non-nil slices into nil in transit, and without the envelope the
-// binary codec's present-but-empty semantics would be lost on the
-// fallback path.
-type gobEnvelope struct {
-	M       Message
-	Present uint64
-}
-
-func slicePresence(m *Message) uint64 {
-	var p uint64
-	if m.Completed != nil {
-		p |= bitCompleted
-	}
-	if m.Jobs != nil {
-		p |= bitJobs
-	}
-	if m.Object != nil {
-		p |= bitObject
-	}
-	if m.Hints != nil {
-		p |= bitHints
-	}
-	if m.Resident != nil {
-		p |= bitResident
-	}
-	if m.Returned != nil {
-		p |= bitReturned
-	}
-	if m.Data != nil {
-		p |= bitData
-	}
-	if m.Files != nil {
-		p |= bitFiles
-	}
-	return p
-}
-
-func restoreSlicePresence(m *Message, p uint64) {
-	if p&bitCompleted != 0 && m.Completed == nil {
-		m.Completed = []int32{}
-	}
-	if p&bitJobs != 0 && m.Jobs == nil {
-		m.Jobs = []JobAssign{}
-	}
-	if p&bitObject != 0 && m.Object == nil {
-		m.Object = []byte{}
-	}
-	if p&bitHints != 0 && m.Hints == nil {
-		m.Hints = []JobAssign{}
-	}
-	if p&bitResident != 0 && m.Resident == nil {
-		m.Resident = []int32{}
-	}
-	if p&bitReturned != 0 && m.Returned == nil {
-		m.Returned = []int32{}
-	}
-	if p&bitData != 0 && m.Data == nil {
-		m.Data = []byte{}
-	}
-	if p&bitFiles != 0 && m.Files == nil {
-		m.Files = []string{}
-	}
-}
-
-// sliceWriter adapts append-to-slice as an io.Writer for the gob path.
-type sliceWriter struct{ b []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
+	return decodeBinary(payload[1:], pool)
 }
 
 // presenceOf computes m's presence bitmap.
 func presenceOf(m *Message) uint64 {
-	p := slicePresence(m)
+	var p uint64
 	if m.Site != "" {
 		p |= bitSite
 	}
@@ -264,17 +127,35 @@ func presenceOf(m *Message) uint64 {
 	if m.Max != 0 {
 		p |= bitMax
 	}
+	if m.Completed != nil {
+		p |= bitCompleted
+	}
 	if m.Progress != 0 {
 		p |= bitProgress
+	}
+	if m.Jobs != nil {
+		p |= bitJobs
 	}
 	if m.Done {
 		p |= bitDone
 	}
+	if m.Object != nil {
+		p |= bitObject
+	}
 	if m.Stats != (Stats{}) {
 		p |= bitStats
 	}
+	if m.Hints != nil {
+		p |= bitHints
+	}
+	if m.Resident != nil {
+		p |= bitResident
+	}
 	if m.Drain {
 		p |= bitDrain
+	}
+	if m.Returned != nil {
+		p |= bitReturned
 	}
 	if m.Target != 0 {
 		p |= bitTarget
@@ -296,6 +177,12 @@ func presenceOf(m *Message) uint64 {
 	}
 	if m.Len != 0 {
 		p |= bitLen
+	}
+	if m.Data != nil {
+		p |= bitData
+	}
+	if m.Files != nil {
+		p |= bitFiles
 	}
 	if m.Err != "" {
 		p |= bitErr

@@ -11,13 +11,13 @@ import (
 )
 
 // fullMessage returns a message with every field populated — the
-// worst case for both codecs and the base for the presence-bit table.
+// codec's worst case and the base for the presence-bit table.
 func fullMessage() *Message {
 	return &Message{
-		Kind:  KindJobGrant,
-		Site:  "cloud",
-		Cores: 8,
-		Max:   4,
+		Kind:      KindJobGrant,
+		Site:      "cloud",
+		Cores:     8,
+		Max:       4,
 		Completed: []int32{1, -2, 1 << 30},
 		Progress:  77,
 		Jobs: []JobAssign{
@@ -56,30 +56,28 @@ func fullMessage() *Message {
 	}
 }
 
-func roundTrip(t *testing.T, m *Message, codec Codec) *Message {
+func roundTrip(t *testing.T, m *Message) *Message {
 	t.Helper()
-	enc, err := Encode(nil, m, codec)
+	enc, err := Encode(nil, m, CodecBinary)
 	if err != nil {
-		t.Fatalf("encode (%v): %v", codec, err)
+		t.Fatalf("encode: %v", err)
 	}
 	got, err := Decode(enc, nil)
 	if err != nil {
-		t.Fatalf("decode (%v): %v", codec, err)
+		t.Fatalf("decode: %v", err)
 	}
 	return got
 }
 
 // TestCodecRoundTripEveryKind sends a fully populated message under
-// every protocol Kind through both codecs; every field must survive
+// every protocol Kind through the codec; every field must survive
 // bit-exactly, including the nil/empty slice distinction.
 func TestCodecRoundTripEveryKind(t *testing.T) {
 	for k := KindInvalid; k <= KindStageResp; k++ {
-		for _, codec := range []Codec{CodecBinary, CodecGob} {
-			m := fullMessage()
-			m.Kind = k
-			if got := roundTrip(t, m, codec); !reflect.DeepEqual(got, m) {
-				t.Fatalf("kind %v codec %v mismatch:\n got %+v\nwant %+v", k, codec, got, m)
-			}
+		m := fullMessage()
+		m.Kind = k
+		if got := roundTrip(t, m); !reflect.DeepEqual(got, m) {
+			t.Fatalf("kind %v mismatch:\n got %+v\nwant %+v", k, got, m)
 		}
 	}
 }
@@ -117,29 +115,27 @@ var presenceCases = map[string]func(*Message){
 }
 
 // TestCodecRoundTripPresenceBits covers each presence bit in
-// isolation, the all-bits message, and the empty message, under both
-// codecs. The single-field cases use empty non-nil slices where
-// protocol semantics ride on the distinction.
+// isolation, the all-bits message, and the empty message. The
+// single-field cases use empty non-nil slices where protocol semantics
+// ride on the distinction.
 func TestCodecRoundTripPresenceBits(t *testing.T) {
 	if want := len(presenceCases); want != 25 {
 		t.Fatalf("presence table covers %d fields, want 25 (update with the Message struct)", want)
 	}
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
-		for name, set := range presenceCases {
-			m := &Message{Kind: KindAck}
-			set(m)
-			if got := roundTrip(t, m, codec); !reflect.DeepEqual(got, m) {
-				t.Fatalf("field %s codec %v mismatch:\n got %+v\nwant %+v", name, codec, got, m)
-			}
+	for name, set := range presenceCases {
+		m := &Message{Kind: KindAck}
+		set(m)
+		if got := roundTrip(t, m); !reflect.DeepEqual(got, m) {
+			t.Fatalf("field %s mismatch:\n got %+v\nwant %+v", name, got, m)
 		}
-		empty := &Message{Kind: KindHeartbeat}
-		if got := roundTrip(t, empty, codec); !reflect.DeepEqual(got, empty) {
-			t.Fatalf("empty message codec %v mismatch: %+v", codec, got)
-		}
-		full := fullMessage()
-		if got := roundTrip(t, full, codec); !reflect.DeepEqual(got, full) {
-			t.Fatalf("full message codec %v mismatch:\n got %+v\nwant %+v", codec, got, full)
-		}
+	}
+	empty := &Message{Kind: KindHeartbeat}
+	if got := roundTrip(t, empty); !reflect.DeepEqual(got, empty) {
+		t.Fatalf("empty message mismatch: %+v", got)
+	}
+	full := fullMessage()
+	if got := roundTrip(t, full); !reflect.DeepEqual(got, full) {
+		t.Fatalf("full message mismatch:\n got %+v\nwant %+v", got, full)
 	}
 }
 
@@ -167,10 +163,9 @@ func TestMaxEncodedSizeIsUpperBound(t *testing.T) {
 		{Kind: KindReadResp, Data: make([]byte, 256<<10)},
 		{Kind: KindListResp, Files: []string{"a", "b", "c", strings.Repeat("x", 300)}},
 	}
-	for name, set := range presenceCases {
+	for _, set := range presenceCases {
 		m := &Message{Kind: KindAck}
 		set(m)
-		_ = name
 		msgs = append(msgs, m)
 	}
 	for _, m := range msgs {
@@ -200,7 +195,7 @@ func TestStringDictionaryDedupes(t *testing.T) {
 	if len(encShared) >= len(encUnique)-10*16 {
 		t.Fatalf("dictionary not deduplicating: shared=%dB unique=%dB", len(encShared), len(encUnique))
 	}
-	if got := roundTrip(t, grant, CodecBinary); !reflect.DeepEqual(got, grant) {
+	if got := roundTrip(t, grant); !reflect.DeepEqual(got, grant) {
 		t.Fatalf("dictionary round trip mismatch")
 	}
 }
@@ -213,11 +208,12 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := map[string][]byte{
-		"empty":           {},
-		"tag only":        {byte(CodecBinary)},
-		"unknown tag":     {0x7f, 0x00, 0x00},
-		"truncated":       valid[:len(valid)/2],
-		"trailing bytes":  append(append([]byte{}, valid...), 0xaa),
+		"empty":                {},
+		"tag only":             {byte(CodecBinary)},
+		"unknown tag":          {0x7f, 0x00, 0x00},
+		"gob codec tag 0x02":   append([]byte{0x02}, valid[1:]...),
+		"truncated":            valid[:len(valid)/2],
+		"trailing bytes":       append(append([]byte{}, valid...), 0xaa),
 		"unknown presence bit": {byte(CodecBinary), byte(KindAck), 0xff, 0xff, 0xff, 0x7f},
 		"huge slice count": {byte(CodecBinary), byte(KindRequestJob),
 			byte(bitCompleted), 0xff, 0xff, 0xff, 0x7f},
@@ -227,31 +223,6 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			t.Fatalf("%s: decode accepted corrupt payload", name)
 		}
 	}
-}
-
-// TestCodecInterop: a receiver auto-detects the payload codec from
-// the frame tag, so senders on different codecs interoperate on one
-// connection — the deployment story for the gob escape hatch.
-func TestCodecInterop(t *testing.T) {
-	a, b := connPair(t)
-	want := fullMessage()
-	for _, codec := range []Codec{CodecGob, CodecBinary, CodecGob} {
-		SetDefaultCodec(codec)
-		if err := a.Send(want); err != nil {
-			SetDefaultCodec(CodecBinary)
-			t.Fatal(err)
-		}
-		got, err := b.Recv()
-		if err != nil {
-			SetDefaultCodec(CodecBinary)
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			SetDefaultCodec(CodecBinary)
-			t.Fatalf("codec %v interop mismatch", codec)
-		}
-	}
-	SetDefaultCodec(CodecBinary)
 }
 
 // countingPool is a BufferSource test double (wire cannot import

@@ -202,10 +202,9 @@ func TestRecvIntoDirect(t *testing.T) {
 	}
 }
 
-// TestRecvIntoDecodePath: every frame that is not a bare binary chunk
-// reply goes through Decode as before; a chunk reply among them (gob,
-// or carrying an extra field) still ends up in the destination, its
-// pooled Data recycled.
+// TestRecvIntoDecodePath: every frame that is not a bare chunk reply
+// goes through Decode as before; a chunk reply carrying an extra field
+// still ends up in the destination, its pooled Data recycled.
 func TestRecvIntoDecodePath(t *testing.T) {
 	a, b := connPair(t)
 	pool := &countingPool{}
@@ -213,23 +212,17 @@ func TestRecvIntoDecodePath(t *testing.T) {
 	data := pattern(5000, 4)
 
 	dst, intact := guarded(t, 8192)
-	for _, frame := range [][]byte{
-		frameOf(t, &Message{Kind: KindReadResp, Data: data, Done: true}, CodecGob),
-		frameOf(t, &Message{Kind: KindReadResp, Data: data, Done: true, Len: 7}, CodecBinary),
-	} {
-		go a.c.Write(frame)
-		got, err := b.RecvInto(dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Done || !bytes.Equal(got.Data, data) || &got.Data[0] != &dst[0] {
-			t.Fatalf("reply not delivered into the destination: %d bytes", len(got.Data))
-		}
-		intact()
+	go a.c.Write(frameOf(t, &Message{Kind: KindReadResp, Data: data, Done: true, Len: 7}, CodecBinary))
+	got, err := b.RecvInto(dst)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Binary: frame and Data drawn and returned. Gob: the frame drawn,
-	// the frame and gob's own Data returned.
-	if pool.gets != 3 || pool.puts != 4 {
+	if !got.Done || !bytes.Equal(got.Data, data) || &got.Data[0] != &dst[0] {
+		t.Fatalf("reply not delivered into the destination: %d bytes", len(got.Data))
+	}
+	intact()
+	// The frame and the decoded Data: both drawn, both returned.
+	if pool.gets != 2 || pool.puts != 2 {
 		t.Fatalf("pool gets=%d puts=%d: decoded Data not recycled", pool.gets, pool.puts)
 	}
 
@@ -254,7 +247,7 @@ func TestRecvIntoDecodePath(t *testing.T) {
 			a.Send(&Message{Kind: KindError, Err: "nope"})
 		}
 	}()
-	_, err := b.CallInto(&Message{Kind: KindReadAt, File: "x", Len: 10}, dst)
+	_, err = b.CallInto(&Message{Kind: KindReadAt, File: "x", Len: 10}, dst)
 	var re *RemoteError
 	if !errors.As(err, &re) || re.Msg != "nope" {
 		t.Fatalf("CallInto error = %v", err)
@@ -298,6 +291,17 @@ func TestRecvIntoRejects(t *testing.T) {
 		go a.c.Write(frame)
 		if _, err := b.RecvInto(dst); err == nil {
 			t.Fatal("Data cut short by the frame accepted")
+		}
+		intact()
+	})
+	t.Run("gob codec tag 0x02", func(t *testing.T) {
+		a, b := connPair(t)
+		dst, intact := guarded(t, len(data))
+		frame := append([]byte(nil), reply...)
+		frame[4] = 0x02 // the tag a peer on the removed gob codec sends
+		go a.c.Write(frame)
+		if _, err := b.RecvInto(dst); err == nil || !strings.Contains(err.Error(), "unknown codec tag 0x02") {
+			t.Fatalf("err = %v", err)
 		}
 		intact()
 	})

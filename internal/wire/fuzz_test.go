@@ -12,8 +12,9 @@ import (
 )
 
 // fuzzSeedPayloads is the corpus both fuzz targets start from: every
-// message shape under both codecs, whole and truncated, plus two
-// hand-made corruptions.
+// message shape whole, truncated, with a trailing byte, and under the
+// old gob codec's tag 0x02 (what a peer from before its removal
+// sends), plus two hand-made corruptions.
 func fuzzSeedPayloads(f *testing.F) [][]byte {
 	seeds := []*Message{
 		{Kind: KindHeartbeat},
@@ -29,13 +30,12 @@ func fuzzSeedPayloads(f *testing.F) [][]byte {
 	}
 	var out [][]byte
 	for _, m := range seeds {
-		for _, codec := range []Codec{CodecBinary, CodecGob} {
-			enc, err := Encode(nil, m, codec)
-			if err != nil {
-				f.Fatal(err)
-			}
-			out = append(out, enc, enc[:len(enc)/2]) // whole, truncated
+		enc, err := Encode(nil, m, CodecBinary)
+		if err != nil {
+			f.Fatal(err)
 		}
+		oldTag := append([]byte{0x02}, enc[1:]...)
+		out = append(out, enc, enc[:len(enc)/2], append(enc, 0xaa), oldTag)
 	}
 	return append(out, []byte{}, []byte{byte(CodecBinary), byte(KindAck), 0xff, 0xff, 0xff, 0x7f})
 }

@@ -1,11 +1,11 @@
 // Package wire implements the framed message protocol spoken between
 // every pair of components in the system: head <-> master, master <->
 // slave, and store client <-> store server. Messages are encoded with
-// a hand-rolled binary codec (see codec.go; gob remains available as
-// a tagged fallback) and carried in length-prefixed frames so that
-// each logical message maps to a single write call on the connection
-// — which is what lets the netsim layer charge link latency per
-// message burst the way a real request/response protocol would pay it.
+// a hand-rolled binary codec (see codec.go) and carried in
+// length-prefixed frames so that each logical message maps to a single
+// write call on the connection — which is what lets the netsim layer
+// charge link latency per message burst the way a real
+// request/response protocol would pay it.
 //
 // Encode buffers and frame payloads are recycled through an optional
 // BufferSource (SetBufferPool), so the steady-state control plane
@@ -185,8 +185,7 @@ type Stats struct {
 // decodes back to a non-nil empty slice. Protocol semantics ride on
 // that distinction for Resident and Returned — an empty report
 // ("cache drained", "drain returned nothing") is not the same as no
-// report — which previously required explicit HasResident/HasReturned
-// flags to survive gob's empty-slice collapsing.
+// report.
 type Message struct {
 	Kind Kind
 
@@ -466,17 +465,13 @@ func HeartbeatsWith(c *Conn, interval time.Duration, logf func(string, ...any)) 
 // comes from the connection's pool (or a retained scratch buffer), so
 // the steady state allocates nothing.
 func (c *Conn) Send(m *Message) error {
-	codec := DefaultCodec()
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if c.tcp != nil && codec == CodecBinary && isBulkRead(m) {
+	if c.tcp != nil && isBulkRead(m) {
 		return c.sendVectored(m)
 	}
-	buf, pool := c.encodeBuffer(m, codec)
-	buf, err := Encode(buf, m, codec)
-	if err != nil {
-		return err
-	}
+	buf, pool := c.encodeBuffer(m)
+	buf = appendBinary(append(buf, byte(CodecBinary)), m)
 	defer c.releaseEncode(buf, pool)
 	if err := c.startFrame(buf, len(buf)-4); err != nil {
 		return err
@@ -489,8 +484,8 @@ func (c *Conn) Send(m *Message) error {
 
 // encodeBuffer returns the 4-byte frame header slot of the buffer Send
 // encodes into, and the pool it came from (nil for connection scratch).
-func (c *Conn) encodeBuffer(m *Message, codec Codec) ([]byte, BufferSource) {
-	if pool := c.bufferPool(); codec == CodecBinary && pool != nil {
+func (c *Conn) encodeBuffer(m *Message) ([]byte, BufferSource) {
+	if pool := c.bufferPool(); pool != nil {
 		// MaxEncodedSize is a strict upper bound, so the encode never
 		// outgrows the pooled buffer and Put always recycles it.
 		return pool.Get(int64(4 + MaxEncodedSize(m)))[:4], pool
@@ -560,11 +555,11 @@ var ErrOverlongReply = errors.New("wire: chunk reply longer than the read that a
 func (c *Conn) Recv() (*Message, error) { return c.recv(nil, false) }
 
 // RecvInto is Recv for a caller awaiting a chunk reply whose bytes
-// belong in p: a KindReadResp comes back with Data == p[:n], and one
-// that does not fit fails with ErrOverlongReply. When the frame is a
-// binary reply carrying only Data, the bytes are read from the
-// connection directly into p and never touch a frame buffer. Any
-// other message is returned exactly as Recv would return it.
+// belong in p: a KindReadResp carrying Data comes back with Data ==
+// p[:n], and one that does not fit fails with ErrOverlongReply. When
+// the frame is a chunk reply carrying only Data, the bytes are read
+// from the connection directly into p and never touch a frame buffer.
+// Any other message is returned exactly as Recv would return it.
 func (c *Conn) RecvInto(p []byte) (*Message, error) { return c.recv(p, true) }
 
 func (c *Conn) recv(p []byte, into bool) (*Message, error) {
@@ -646,9 +641,10 @@ func (c *Conn) readDirect(n int, p []byte) (*Message, []byte, error) {
 }
 
 // landIn moves the Data of a chunk reply that took the Decode path
-// into p, recycling the buffer Decode drew for it.
+// into p, recycling the buffer Decode drew for it. A reply without Data
+// keeps its nil Data, as Recv would return it.
 func landIn(m *Message, p []byte, pool BufferSource) (*Message, error) {
-	if m.Kind != KindReadResp {
+	if m.Kind != KindReadResp || m.Data == nil {
 		return m, nil
 	}
 	data := m.Data

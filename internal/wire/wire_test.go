@@ -64,39 +64,34 @@ func TestEmptyResidentReportSurvivesCodec(t *testing.T) {
 	// An empty residency report ("cache enabled but drained") must stay
 	// distinguishable from no report at all (nil, cache disabled):
 	// without the distinction a drained cache could never clear its
-	// stale warm set upstream. The codec's presence bits carry it for
-	// both the binary format and the gob fallback.
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
-		t.Run(codec.String(), func(t *testing.T) {
-			SetDefaultCodec(codec)
-			defer SetDefaultCodec(CodecBinary)
-			a, b := connPair(t)
-			if err := a.Send(&Message{Kind: KindRequestJob, Resident: []int32{}}); err != nil {
-				t.Fatal(err)
-			}
-			got, err := b.Recv()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Resident == nil {
-				t.Fatal("non-nil empty Resident report collapsed to nil in transit")
-			}
-			if len(got.Resident) != 0 {
-				t.Fatalf("Resident = %v, want empty", got.Resident)
-			}
+	// stale warm set upstream. The binary codec's presence bits carry it.
+	t.Run("binary", func(t *testing.T) {
+		a, b := connPair(t)
+		if err := a.Send(&Message{Kind: KindRequestJob, Resident: []int32{}}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Resident == nil {
+			t.Fatal("non-nil empty Resident report collapsed to nil in transit")
+		}
+		if len(got.Resident) != 0 {
+			t.Fatalf("Resident = %v, want empty", got.Resident)
+		}
 
-			// And the inverse: nil must stay nil, not become empty.
-			if err := a.Send(&Message{Kind: KindRequestJob}); err != nil {
-				t.Fatal(err)
-			}
-			if got, err = b.Recv(); err != nil {
-				t.Fatal(err)
-			}
-			if got.Resident != nil {
-				t.Fatalf("nil Resident became %v in transit", got.Resident)
-			}
-		})
-	}
+		// And the inverse: nil must stay nil, not become empty.
+		if err := a.Send(&Message{Kind: KindRequestJob}); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = b.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		if got.Resident != nil {
+			t.Fatalf("nil Resident became %v in transit", got.Resident)
+		}
+	})
 }
 
 func TestCallRequestResponse(t *testing.T) {

@@ -18,11 +18,6 @@
 #     against warned drains, checkpointed recovery, and full
 #     re-execution; digest-checked, checkpoint deadline/requeue win
 #     enforced) -> BENCH_spot.json
-#   - `cbbench -experiment wire` (binary codec vs gob baseline:
-#     encode+decode microbench on job-grant and read-response round
-#     trips, plus a digest-checked full-pipeline comparison; >=2x
-#     throughput and >=5x allocs/op reduction enforced)
-#     -> BENCH_wire.json
 #   - `cbbench -experiment buffer` (site burst-buffer tier: no-buffer
 #     vs cold-buffer vs master-staged buffer on knn single-pass and
 #     pagerank power iterations, all data in S3; digest-checked, with
@@ -53,12 +48,10 @@ OUT="${OUT:-BENCH_overlap.json}"
 AUTOTUNE_OUT="${AUTOTUNE_OUT:-BENCH_autotune.json}"
 ELASTIC_OUT="${ELASTIC_OUT:-BENCH_elastic.json}"
 SPOT_OUT="${SPOT_OUT:-BENCH_spot.json}"
-WIRE_OUT="${WIRE_OUT:-BENCH_wire.json}"
 BUFFER_OUT="${BUFFER_OUT:-BENCH_buffer.json}"
 SYNC_OUT="${SYNC_OUT:-BENCH_sync.json}"
 ADVISOR_OUT="${ADVISOR_OUT:-BENCH_advisor.json}"
 HISTORY_DIR="${HISTORY_DIR:-.cloudburst-history}"
-BENCHTIME="${BENCHTIME:-1s}"
 # The sync ablation needs pages >= 2 shard units for shard-level merge
 # parallelism to engage, which caps its divisor at 9 (see
 # internal/gr/combiners.go); it runs one notch below the default.
@@ -83,12 +76,6 @@ go run ./cmd/cbbench -experiment spot \
 	-records-divisor "$DIVISOR" \
 	-check-win \
 	-json "$SPOT_OUT"
-
-go run ./cmd/cbbench -experiment wire \
-	-records-divisor "$DIVISOR" \
-	-benchtime "$BENCHTIME" \
-	-check-win \
-	-json "$WIRE_OUT"
 
 go run ./cmd/cbbench -experiment buffer \
 	-records-divisor "$DIVISOR" \

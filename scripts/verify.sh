@@ -1,9 +1,16 @@
 #!/usr/bin/env bash
-# Full verification: build, vet, all tests, plus a race pass over the
-# concurrency-heavy packages (cluster, store, chunk, driver) and smoke
-# runs of the overlap ablation and the autotune grid (heavily shrunk)
-# to prove the retrieval pipeline and the AIMD fetch controller
-# end-to-end. This is a superset of the tier-1 gate in ROADMAP.md.
+# Full verification, a superset of the tier-1 gate in ROADMAP.md:
+#   - build, vet and every test, plus the benchmark module's smoke test;
+#   - race passes over every concurrency-heavy package, then twice over
+#     the membership, sync and copy-free chunk-reply tests;
+#   - 5 s fuzz runs of the wire decoder and the direct-read path;
+#   - smoke runs (heavily shrunk, digest-checked) of the overlap,
+#     autotune, elastic, spot, buffer, sync and advisor experiments,
+#     and cbadvise reading the history the advisor run wrote.
+# cbbench and cbadvise are built once and the binaries reused.
+# Budget, measured on a 2-core x86-64 Linux host: ~32 s wall with warm
+# build and test caches; ~75 s after an internal/wire change, which
+# invalidates the cached results of most packages' tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,50 +33,49 @@ go test -race -count=2 -run 'Join|Drain|Elastic|Spot|Preempt|Checkpoint|Revocati
 go test -race -count=2 -run 'Vectored|OneWritePerSend|RecvInto|DirectRead|BadReplies|Overlong|LentView|BlockKernel' ./internal/wire/ ./internal/store/ ./internal/apps/
 # The wire codec owns every byte on every connection: fuzz the decoder
 # and the direct-read path briefly (corrupt frames must error, never
-# panic, never write outside the destination) and run the codec
-# microbench as a correctness smoke (both codecs, round trips checked,
-# full-pipeline digest equality binary vs gob).
+# panic, never write outside the destination).
 go test -run '^$' -fuzz FuzzDecode -fuzztime 5s ./internal/wire/
 go test -run '^$' -fuzz FuzzReadInto -fuzztime 5s ./internal/wire/
-go run ./cmd/cbbench -experiment wire -records-divisor 100 -scale 0.0001 -benchtime 50ms >/dev/null
-go run ./cmd/cbbench -experiment overlap -records-divisor 100 -scale 0.0001 >/dev/null
+
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+go build -o "$TMP/" ./cmd/cbbench ./cmd/cbadvise
+smoke() { "$TMP/cbbench" -experiment "$1" -records-divisor 100 -scale 0.0001 "${@:2}" >/dev/null; }
+
+smoke overlap
 # Digest invariance across the autotune grid; win ratios are asserted
 # by scripts/bench.sh at full benchmark scale, not at smoke scale.
-go run ./cmd/cbbench -experiment autotune -records-divisor 100 -scale 0.0001 >/dev/null
+smoke autotune
 # Elastic deadline sweep at smoke scale: validates dynamic membership
 # digests (no lost/double-counted chunk across joins and drains); the
 # deadline/cost win is asserted by scripts/bench.sh at real scale.
-go run ./cmd/cbbench -experiment elastic -records-divisor 100 -scale 0.0001 >/dev/null
+smoke elastic
 # Spot preemption sweep at smoke scale: validates that revocation
 # recovery (checkpoint adoption, drain flushes, full re-execution)
 # never loses or double-counts a chunk. At this scale real loopback
 # latencies dwarf the scaled warning window, so drain completions and
 # the wall/cost win are asserted by scripts/bench.sh at real scale.
-go run ./cmd/cbbench -experiment spot -records-divisor 100 -scale 0.0001 >/dev/null
+smoke spot
 # Burst-buffer ablation at smoke scale: validates digest invariance of
 # the site buffer tier (read-through, staging, tiered fallback); the
 # wall-clock/egress win is asserted by scripts/bench.sh at real scale,
 # where emulated S3 latency dominates loopback noise.
-go run ./cmd/cbbench -experiment buffer -records-divisor 100 -scale 0.0001 >/dev/null
+smoke buffer
 # Sync ablation at smoke scale: validates digest invariance across
 # monolithic and the three streamed merge strategies (transport and
 # merge scheduling must never change results); the wall-clock win and
 # merge concurrency are asserted by scripts/bench.sh at real scale.
-go run ./cmd/cbbench -experiment sync -records-divisor 100 -scale 0.0001 >/dev/null
+smoke sync
 # Advisor warm-vs-cold sequence at smoke scale: validates that the
 # history store round-trips records, the warm-started controller keeps
 # digests identical to cold-start, and the prediction feedback lands.
 # The ramp/wall/cost win is asserted by scripts/bench.sh at real scale.
 # ADVISOR_HISTORY_DIR keeps the history database after the run (CI
-# uploads it as an artifact); unset, it lands in a throwaway tempdir.
-ADVHIST="${ADVISOR_HISTORY_DIR:-}"
-if [ -z "$ADVHIST" ]; then
-	ADVHIST="$(mktemp -d)"
-	trap 'rm -rf "$ADVHIST"' EXIT
-fi
-go run ./cmd/cbbench -experiment advisor -records-divisor 100 -scale 0.0001 -history-dir "$ADVHIST" >/dev/null
+# uploads it as an artifact); unset, it lands in the throwaway tempdir.
+ADVHIST="${ADVISOR_HISTORY_DIR:-$TMP/history}"
+smoke advisor -history-dir "$ADVHIST"
 # cbadvise must read the history the smoke run just wrote and print a
 # burst plan for the same app/link class without running anything.
-go run ./cmd/cbadvise -history-dir "$ADVHIST" -list | grep -q knn
-go run ./cmd/cbadvise -history-dir "$ADVHIST" -app knn -env env-50/50 -deadline 60s | grep -q advisor
+"$TMP/cbadvise" -history-dir "$ADVHIST" -list | grep -q knn
+"$TMP/cbadvise" -history-dir "$ADVHIST" -app knn -env env-50/50 -deadline 60s | grep -q advisor
 echo "verify: ok"
