@@ -35,7 +35,7 @@ func main() {
 		remotes    = flag.String("remote", "", "remote stores, site=host:port,...")
 		threads    = flag.Int("fetch-threads", 8, "retrieval threads for remote chunks")
 		autotune   = flag.Bool("fetch-autotune", false, "adapt the retrieval thread count per link with an AIMD controller (-fetch-threads seeds it)")
-		rangeKB    = flag.Int("fetch-range-kb", 256, "range size per remote request (KiB)")
+		rangeKB    = flag.Int("fetch-range-kb", 256, "largest remote request (KiB)")
 		retries    = flag.Int("fetch-retries", 4, "attempts per sub-range before a retrieval fails (1 disables retry)")
 		beat       = flag.Duration("heartbeat", 0, "heartbeat the master at this interval (0 disables)")
 		prefetch   = flag.Bool("prefetch", false, "pipeline retrieval: fetch the next grant while the current one reduces")

@@ -467,10 +467,7 @@ func Run(cfg DeployConfig) (*RunResult, error) {
 		buffer := site.Buffer
 		perRunBuffer := false
 		if buffer == nil && cfg.BufferBytes > 0 && site.HomeFetch {
-			fetch := cfg.Fetch
-			if fetch.Threads == 0 && fetch.RangeSize == 0 {
-				fetch = store.DefaultFetchOptions()
-			}
+			fetch := cfg.Fetch.WithDefaultSizes()
 			fetch.Clock = cfg.Clock
 			buffer = store.NewSiteBuffer(store.SiteBufferConfig{
 				Site: site.Name, Backing: site.HomeStore, Capacity: cfg.BufferBytes,

@@ -453,3 +453,26 @@ func TestFixtureAppsAgree(t *testing.T) {
 		t.Fatal("empty build should succeed with no files")
 	}
 }
+
+// TestRunRetryOnlyFetchOptionsAbsorbTransients is a deployment whose
+// Fetch sets only a retry policy: the default thread and range sizes
+// are filled in around it, so a FirstN transient plan on the home store
+// is absorbed by sub-range retries instead of failing chunk reads.
+func TestRunRetryOnlyFetchOptionsAbsorbTransients(t *testing.T) {
+	cfg, gen := fixture(t, 3000, 3, 3, 2, 0)
+	plan := faults.NewPlan(7, faults.Spec{Kind: faults.Transient, FirstN: 3})
+	cfg.Sites[0].HomeStore = store.NewSimS3(cfg.Sites[0].HomeStore, nil, 0, 0, nil).WithFaults(plan, "local")
+	cfg.Sites[0].HomeFetch = true
+	cfg.Fetch = store.FetchOptions{Retry: store.DefaultRetryPolicy()}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCounts(t, res.Final, wantCounts(gen, 3000))
+	if plan.Total() < 3 {
+		t.Fatalf("plan injected %d transients, want 3", plan.Total())
+	}
+	if res.Report.Faults.Retries == 0 {
+		t.Fatalf("transients not retried: %+v", res.Report.Faults)
+	}
+}

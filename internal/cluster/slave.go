@@ -121,9 +121,7 @@ func (c SlaveConfig) withDefaults() SlaveConfig {
 	if c.JobsPerRequest < 1 {
 		c.JobsPerRequest = 1
 	}
-	if c.Fetch.Threads == 0 && c.Fetch.RangeSize == 0 {
-		c.Fetch = store.DefaultFetchOptions()
-	}
+	c.Fetch = c.Fetch.WithDefaultSizes()
 	if c.Pool == nil {
 		c.Pool = store.NewBufferPool()
 	}

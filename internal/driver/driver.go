@@ -81,10 +81,7 @@ func (it *Iterative) Run() (*Result, error) {
 			if !site.HomeFetch || site.Buffer != nil {
 				continue
 			}
-			fetch := it.Deploy.Fetch
-			if fetch.Threads == 0 && fetch.RangeSize == 0 {
-				fetch = store.DefaultFetchOptions()
-			}
+			fetch := it.Deploy.Fetch.WithDefaultSizes()
 			fetch.Clock = it.Deploy.Clock
 			pool := site.Cache.Pool()
 			site.Buffer = store.NewSiteBuffer(store.SiteBufferConfig{

@@ -144,6 +144,20 @@ func (f *faultAtOffset) ReadAt(name string, p []byte, off int64) (int, error) {
 	return f.Mem.ReadAt(name, p, off)
 }
 
+func TestFetchOptionsWithDefaultSizesKeepsRetry(t *testing.T) {
+	got := FetchOptions{Retry: DefaultRetryPolicy()}.WithDefaultSizes()
+	if d := DefaultFetchOptions(); got.Threads != d.Threads || got.RangeSize != d.RangeSize {
+		t.Fatalf("sizes not defaulted: %+v", got)
+	}
+	if got.Retry != DefaultRetryPolicy() {
+		t.Fatalf("retry policy dropped: %+v", got.Retry)
+	}
+	set := FetchOptions{Threads: 2, RangeSize: 4 << 10}
+	if got := set.WithDefaultSizes(); got.Threads != 2 || got.RangeSize != 4<<10 {
+		t.Fatalf("caller sizes overwritten: %+v", got)
+	}
+}
+
 func TestFetchZeroLengthAgainstFaultyStore(t *testing.T) {
 	// A zero-length fetch issues no requests, so even a store that
 	// fails every request cannot fail it.
@@ -161,9 +175,9 @@ func TestFetchRetriesFaultOnLastSubRange(t *testing.T) {
 	m := NewMem()
 	data := fillPattern(10_000, 9)
 	m.Put("d", data)
-	// 10000 bytes at RangeSize 4096 -> sub-ranges at 0, 4096, 8192; the
-	// last one fails twice before succeeding.
-	f := &faultAtOffset{Mem: m, off: 8192, fails: 2}
+	// The last planned span of 10000 bytes at RangeSize 4096 fails
+	// twice before succeeding.
+	f := &faultAtOffset{Mem: m, off: lastSpanStart(10_000, 4096, 1), fails: 2}
 	got, err := Fetch(f, "d", 0, 10_000, FetchOptions{
 		Threads: 1, RangeSize: 4096,
 		Retry: RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Microsecond},
@@ -174,12 +188,15 @@ func TestFetchRetriesFaultOnLastSubRange(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("data mismatch after retried last sub-range")
 	}
+	if f.fails != 0 {
+		t.Fatalf("the last span was never requested: %d faults left", f.fails)
+	}
 }
 
 func TestFetchLastSubRangeExhaustsRetries(t *testing.T) {
 	m := NewMem()
 	m.Put("d", fillPattern(10_000, 9))
-	f := &faultAtOffset{Mem: m, off: 8192, fails: 1 << 30}
+	f := &faultAtOffset{Mem: m, off: lastSpanStart(10_000, 4096, 2), fails: 1 << 30}
 	_, err := Fetch(f, "d", 0, 10_000, FetchOptions{
 		Threads: 2, RangeSize: 4096,
 		Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond},
@@ -190,6 +207,13 @@ func TestFetchLastSubRangeExhaustsRetries(t *testing.T) {
 	if !strings.Contains(err.Error(), "attempts exhausted") || !errors.Is(err, faults.ErrTransient) {
 		t.Fatalf("err = %v", err)
 	}
+}
+
+// lastSpanStart is the offset of the last request Fetch issues for a
+// length-byte read with the given RangeSize and Threads.
+func lastSpanStart(length int64, rangeSize, threads int) int64 {
+	spans := planSpans(length, rangeSize, threads)
+	return spans[len(spans)-1].start
 }
 
 func TestFetchEveryAttemptFailsReturnsClassifiedError(t *testing.T) {
@@ -286,20 +310,25 @@ func (m *maxConcurrency) ReadAt(name string, p []byte, off int64) (int, error) {
 
 func TestFetchSpawnsNoMoreReadersThanSubRanges(t *testing.T) {
 	m := NewMem()
-	data := fillPattern(8<<10, 11)
+	data := fillPattern(2<<10, 11)
 	m.Put("d", data)
 	mc := &maxConcurrency{Mem: m}
-	// 8 KiB at 4 KiB ranges = 2 sub-ranges; Threads 16 must not put
-	// more than 2 readers on the store.
-	got, err := Fetch(mc, "d", 0, 8<<10, FetchOptions{Threads: 16, RangeSize: 4 << 10})
+	// 2 KiB at 1 KiB ranges plans 4 spans (the 512 B floor caps the
+	// round-up to 16); Threads 16 must not put more than 4 readers on
+	// the store.
+	spans := int64(len(planSpans(2<<10, 1<<10, 16)))
+	if spans != 4 {
+		t.Fatalf("planned %d spans, want 4", spans)
+	}
+	got, err := Fetch(mc, "d", 0, 2<<10, FetchOptions{Threads: 16, RangeSize: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("fetch mismatch")
 	}
-	if peak := mc.peak.Load(); peak > 2 {
-		t.Fatalf("peak concurrent readers = %d, want <= 2", peak)
+	if peak := mc.peak.Load(); peak > spans {
+		t.Fatalf("peak concurrent readers = %d, want <= %d", peak, spans)
 	}
 }
 

@@ -2,14 +2,15 @@
 # Full verification, a superset of the tier-1 gate in ROADMAP.md:
 #   - build, vet and every test, plus the benchmark module's smoke test;
 #   - race passes over every concurrency-heavy package, then twice over
-#     the membership, sync and copy-free chunk-reply tests;
+#     the membership, sync, copy-free chunk-reply and fetch/span tests;
 #   - 5 s fuzz runs of the wire decoder and the direct-read path;
 #   - smoke runs (heavily shrunk, digest-checked) of the overlap,
 #     autotune, elastic, spot, buffer, sync and advisor experiments,
-#     and cbadvise reading the history the advisor run wrote.
+#     and cbadvise reading the history the advisor run wrote;
+#   - the chaos experiment at -records-divisor 10, digest-checked.
 # cbbench and cbadvise are built once and the binaries reused.
-# Budget, measured on a 2-core x86-64 Linux host: ~32 s wall with warm
-# build and test caches; ~75 s after an internal/wire change, which
+# Budget, measured on a 2-core x86-64 Linux host: ~44 s wall with warm
+# build and test caches; ~100 s after an internal/store change, which
 # invalidates the cached results of most packages' tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -28,9 +29,11 @@ go test -race ./internal/cluster/ ./internal/store/ ./internal/chunk/ ./internal
 # them twice under the race detector so a lucky interleaving can't
 # hide a regression. The copy-free chunk-reply path (vectored write,
 # direct read, lent views) shares one connection between a replying
-# handler, heartbeats and an object swap, so its tests ride along.
+# handler, heartbeats and an object swap, so its tests ride along, as
+# do store.Fetch's span planner and its reader pool (tuner growth and
+# retirement, lowest-offset failure bookkeeping).
 go test -race -count=2 -run 'Join|Drain|Elastic|Spot|Preempt|Checkpoint|Revocation|Buffer|Merge|Sync|Exchange|HeadReader|BlockPath' ./internal/cluster/ ./internal/gr/
-go test -race -count=2 -run 'Vectored|OneWritePerSend|RecvInto|DirectRead|BadReplies|Overlong|LentView|BlockKernel' ./internal/wire/ ./internal/store/ ./internal/apps/
+go test -race -count=2 -run 'Vectored|OneWritePerSend|RecvInto|DirectRead|BadReplies|Overlong|LentView|BlockKernel|Plan|Span|Fetch' ./internal/wire/ ./internal/store/ ./internal/apps/
 # The wire codec owns every byte on every connection: fuzz the decoder
 # and the direct-read path briefly (corrupt frames must error, never
 # panic, never write outside the destination).
@@ -78,4 +81,9 @@ smoke advisor -history-dir "$ADVHIST"
 # burst plan for the same app/link class without running anything.
 "$TMP/cbadvise" -history-dir "$ADVHIST" -list | grep -q knn
 "$TMP/cbadvise" -history-dir "$ADVHIST" -app knn -env env-50/50 -deadline 60s | grep -q advisor
+# Chaos at -records-divisor 10 (~4 s) is the only digest-checked run in
+# which faults land on individual fetch spans; at -records-divisor 100
+# the run fails with "all clusters lost". grep reads the whole output
+# (no -q) so cbbench never writes into a closed pipe.
+"$TMP/cbbench" -experiment chaos -records-divisor 10 | grep 'results match' >/dev/null
 echo "verify: ok"
