@@ -502,27 +502,24 @@ func main() {
 		if *checkWin {
 			mono := res.Row("monolithic-serial")
 			par := res.Row("streamed-parallel")
-			shard := res.Row("streamed-sharded")
-			if mono == nil || par == nil || shard == nil {
+			if mono == nil || par == nil {
 				fatal(fmt.Errorf("sync ablation is missing rows"))
 			}
 			if mono.Sync.Parts != 0 {
 				fatal(fmt.Errorf("monolithic-serial streamed %d parts — the baseline is contaminated", mono.Sync.Parts))
 			}
-			for _, r := range []*bench.SyncRow{par, shard} {
-				if r.Sync.Parts == 0 {
-					fatal(fmt.Errorf("sync %s streamed no object parts", r.Label))
-				}
-				if r.Sync.StreamedBytes == 0 {
-					fatal(fmt.Errorf("sync %s counted no streamed bytes", r.Label))
-				}
-				if r.TotalEmu >= mono.TotalEmu {
-					fatal(fmt.Errorf("sync %s did not beat monolithic-serial: %.1fs vs %.1fs",
-						r.Label, r.Seconds(), mono.Seconds()))
-				}
+			if par.Sync.Parts == 0 {
+				fatal(fmt.Errorf("sync %s streamed no object parts", par.Label))
+			}
+			if par.Sync.StreamedBytes == 0 {
+				fatal(fmt.Errorf("sync %s counted no streamed bytes", par.Label))
+			}
+			if par.TotalEmu >= mono.TotalEmu {
+				fatal(fmt.Errorf("sync %s did not beat monolithic-serial: %.1fs vs %.1fs",
+					par.Label, par.Seconds(), mono.Seconds()))
 			}
 			// A lone cluster's own combine is the final, so the streamed
-			// arms skip the Final broadcast monolithic still pays.
+			// arm skips the Final broadcast monolithic still pays.
 			if ratio := mono.Seconds() / par.Seconds(); ratio < 1.15 {
 				fatal(fmt.Errorf("sync streamed-parallel is only %.2fx over monolithic-serial, want >= 1.15x", ratio))
 			}
@@ -530,9 +527,8 @@ func main() {
 				fatal(fmt.Errorf("streamed-parallel never merged concurrently (max parallelism %d)",
 					par.Sync.MaxParallel))
 			}
-			fmt.Printf("sync win check: streamed-parallel %.1fs and streamed-sharded %.1fs vs monolithic %.1fs (%.2fx / %.2fx), %d parts, max merge parallelism %d, digests identical ✓\n",
-				par.Seconds(), shard.Seconds(), mono.Seconds(),
-				mono.Seconds()/par.Seconds(), mono.Seconds()/shard.Seconds(),
+			fmt.Printf("sync win check: streamed-parallel %.1fs vs monolithic %.1fs (%.2fx), %d parts, max merge parallelism %d, digests identical ✓\n",
+				par.Seconds(), mono.Seconds(), mono.Seconds()/par.Seconds(),
 				par.Sync.Parts, par.Sync.MaxParallel)
 		}
 	}

@@ -32,7 +32,7 @@ func main() {
 		clusters  = flag.Int("clusters", 2, "number of masters expected")
 		listen    = flag.String("listen", ":7070", "listen address")
 		heartbeat = flag.Duration("heartbeat", 0, "declare a silent master lost after 3 missed intervals (0 disables)")
-		syncMode  = flag.String("sync-mode", "", "global-reduction sync: monolithic, streamed, streamed-parallel (default), or streamed-sharded")
+		syncMode  = flag.String("sync-mode", "", "global-reduction sync: streamed-parallel (default) or monolithic")
 		quiet     = flag.Bool("q", false, "suppress progress logging")
 
 		deadline     = flag.Duration("deadline", 0, "run deadline; enables the elastic scaling controller (0 disables)")

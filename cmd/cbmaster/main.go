@@ -35,7 +35,7 @@ func main() {
 		beat     = flag.Duration("heartbeat", 0, "heartbeat the head and declare silent slaves lost after 3 missed intervals (0 disables)")
 		buffer   = flag.String("buffer", "", "site burst-buffer address (a cbstore -mode buffer daemon) to stage hinted chunks into (0 disables)")
 		stageMB  = flag.Int64("stage-budget-mb", 0, "cap on bytes staged into the buffer over the run (0 = unlimited)")
-		syncMode = flag.String("sync-mode", "", "global-reduction sync: monolithic, streamed, streamed-parallel (default), or streamed-sharded (must match the head's)")
+		syncMode = flag.String("sync-mode", "", "global-reduction sync: streamed-parallel (default) or monolithic (must match the head's)")
 		quiet    = flag.Bool("q", false, "suppress progress logging")
 	)
 	flag.Parse()

@@ -45,7 +45,7 @@ func main() {
 		bufferAddr = flag.String("buffer", "", "site burst-buffer address (a cbstore -mode buffer daemon) consulted before the home store; needs -home-fetch")
 		join       = flag.Bool("join", false, "join a running cluster mid-run (elastic scale-up) instead of counting against the deploy-time membership")
 		ckptJobs   = flag.Int("checkpoint-jobs", 0, "ship a partial-reduction checkpoint to the master every N processed jobs (0 disables; bounds work lost to spot revocation)")
-		syncMode   = flag.String("sync-mode", "", "global-reduction sync: monolithic, streamed, streamed-parallel (default), or streamed-sharded (must match the master's)")
+		syncMode   = flag.String("sync-mode", "", "global-reduction sync: streamed-parallel (default) or monolithic (must match the master's)")
 	)
 	flag.Parse()
 	if *site == "" || *masterAddr == "" || *appName == "" || *dataDir == "" {

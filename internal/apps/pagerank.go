@@ -156,21 +156,6 @@ func (r *pagerankRed) Encode(w io.Writer) error  { return r.next.Encode(w) }
 func (r *pagerankRed) Decode(rd io.Reader) error { r.next = &gr.VectorSum{}; return r.next.Decode(rd) }
 func (r *pagerankRed) Bytes() int                { return r.next.Bytes() }
 
-// Shards implements gr.ShardedReduction: the rank vector splits into
-// contiguous index ranges that merge concurrently — the paper's ~300
-// MB pagerank object is exactly the case shard-parallel merging
-// exists for.
-func (r *pagerankRed) Shards() int { return r.next.Shards() }
-
-// MergeShard implements gr.ShardedReduction.
-func (r *pagerankRed) MergeShard(i int, other gr.Reduction) error {
-	o, ok := other.(*pagerankRed)
-	if !ok {
-		return fmt.Errorf("apps: pagerank merge with %T", other)
-	}
-	return r.next.MergeShard(i, o.next)
-}
-
 // NextRanks finalizes the iteration: accumulated link mass plus the
 // uniform teleport term.
 func (r *pagerankRed) NextRanks() []float64 {

@@ -52,7 +52,7 @@ func (a *WordCount) RecordSize() int { return a.Width }
 func (a *WordCount) UnitCost() time.Duration { return a.Cost }
 
 // NewReduction implements gr.App.
-func (a *WordCount) NewReduction() gr.Reduction { return &wordCountRed{c: gr.NewShardedCounter()} }
+func (a *WordCount) NewReduction() gr.Reduction { return &wordCountRed{c: gr.NewCounter()} }
 
 // Summarize implements gr.Summarizer.
 func (a *WordCount) Summarize(red gr.Reduction) (string, error) {
@@ -60,15 +60,16 @@ func (a *WordCount) Summarize(red gr.Reduction) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("apps: wordcount cannot summarize %T", red)
 	}
-	top := r.c.Top(3)
-	return fmt.Sprintf("wordcount: %d words, %d distinct, top=%v", r.c.Total(), r.c.Len(), top), nil
+	var total int64
+	for _, n := range r.c.Counts {
+		total += n
+	}
+	return fmt.Sprintf("wordcount: %d words, %d distinct, top=%v", total, len(r.c.Counts), r.c.Top(3)), nil
 }
 
-// wordCountRed counts words in a hash-sharded counter, so two
-// reduction objects merge shard-parallel (disjoint key partitions)
-// instead of serializing on one Go map.
+// wordCountRed counts words in a gr.Counter.
 type wordCountRed struct {
-	c *gr.ShardedCounter
+	c *gr.Counter
 }
 
 func (r *wordCountRed) Update(unit []byte) error {
@@ -88,20 +89,8 @@ func (r *wordCountRed) Merge(other gr.Reduction) error {
 }
 
 func (r *wordCountRed) Encode(w io.Writer) error  { return r.c.Encode(w) }
-func (r *wordCountRed) Decode(rd io.Reader) error { r.c = gr.NewShardedCounter(); return r.c.Decode(rd) }
+func (r *wordCountRed) Decode(rd io.Reader) error { return r.c.Decode(rd) }
 func (r *wordCountRed) Bytes() int                { return r.c.Bytes() }
 
-// Shards implements gr.ShardedReduction.
-func (r *wordCountRed) Shards() int { return r.c.Shards() }
-
-// MergeShard implements gr.ShardedReduction.
-func (r *wordCountRed) MergeShard(i int, other gr.Reduction) error {
-	o, ok := other.(*wordCountRed)
-	if !ok {
-		return fmt.Errorf("apps: wordcount merge with %T", other)
-	}
-	return r.c.MergeShard(i, o.c)
-}
-
 // Counts exposes the merged counter for result inspection.
-func (r *wordCountRed) Counts() map[string]int64 { return r.c.Counts() }
+func (r *wordCountRed) Counts() map[string]int64 { return r.c.Counts }

@@ -155,3 +155,48 @@ func TestParamsHelpers(t *testing.T) {
 		}
 	}
 }
+
+// TestWordCountSummaryPinned pins the exact summary of a fixed input
+// (the cbgen/cbbench wordcount vocabulary) reduced as eight objects,
+// each round-tripped through the codec and then merged: word total,
+// distinct count and the top three with their lexicographic tie-break.
+// The integration test checks only the total, so this is the guard on
+// the counter's codec, merge and Top.
+func TestWordCountSummaryPinned(t *testing.T) {
+	app, err := NewWordCount(Params{"width": "12"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, parts = 60000, 8
+	data := genRecords(workload.Words{Width: 12, Vocab: 5000, Seed: 3003}, n)
+	rs := app.RecordSize()
+	e := gr.NewEngine(app, gr.EngineOptions{})
+	objs := make([]gr.Reduction, 0, parts)
+	for p := 0; p < parts; p++ {
+		red := app.NewReduction()
+		if _, err := e.ProcessChunk(red, data[p*n/parts*rs:(p+1)*n/parts*rs]); err != nil {
+			t.Fatal(err)
+		}
+		enc, err := gr.EncodeReduction(red)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := gr.DecodeReduction(app, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, dec)
+	}
+	merged, err := gr.MergeAll(app, objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := app.Summarize(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "wordcount: 60000 words, 4782 distinct, top=[w000333 w000415 w000436]"
+	if got != want {
+		t.Fatalf("summary %q, want %q", got, want)
+	}
+}

@@ -15,7 +15,7 @@ import (
 // the paper's runtime had — wait for every cluster, merge, broadcast
 // the final to all — so Table II's global-reduction column keeps
 // measuring what the paper measured (pagerank's ~600 KB object
-// crossing the WAN twice). The streamed plans' exchange hides half of
+// crossing the WAN twice). The streamed plan's exchange hides half of
 // that; cbbench -experiment sync is where the two are compared.
 const paperSync = cluster.SyncMonolithic
 

@@ -13,14 +13,14 @@ import (
 // The sync experiment measures the global-reduction synchronization
 // strategies over the paper's worst case for them: pagerank in
 // env-cloud, where every core ships a full ~600 KB rank vector to the
-// master and the merged vector crosses the 15 KB/s head WAN. Four
+// master and the merged vector crosses the 15 KB/s head WAN. Two
 // variants run the identical workload: the monolithic baseline
-// (single-frame objects, merge after the all-arrivals barrier), and
-// three streamed arms (bounded part frames, merge overlapped with
-// transfers) with serial, parallel, and shard-level merging. Sync is a
-// transport/scheduling change, never a semantics change, so every
-// variant must produce the same result digest; the win is measured
-// wall clock plus the overlap the per-arrival merge bought.
+// (single-frame objects, serial merge after the all-arrivals barrier)
+// and the streamed default (bounded part frames, a parallel merge tree
+// overlapped with transfers). Sync is a transport/scheduling change,
+// never a semantics change, so both variants must produce the same
+// result digest; the win is measured wall clock plus the overlap the
+// per-arrival merge bought.
 
 // SyncVariant names one arm of the sync ablation.
 type SyncVariant struct {
@@ -33,9 +33,7 @@ type SyncVariant struct {
 func SyncVariants() []SyncVariant {
 	return []SyncVariant{
 		{Label: "monolithic-serial", Mode: cluster.SyncMonolithic},
-		{Label: "streamed-serial", Mode: cluster.SyncStreamed},
 		{Label: "streamed-parallel", Mode: cluster.SyncStreamedParallel},
-		{Label: "streamed-sharded", Mode: cluster.SyncStreamedSharded},
 	}
 }
 
@@ -44,9 +42,8 @@ func SyncVariants() []SyncVariant {
 // memory bandwidth costs ~0.6 s per pair merge, and our ~600 KB
 // stand-in object is 10,000x smaller, so each folded byte is charged
 // 1 µs of emulated time (0.6 s / 600 KB). Every variant pays it —
-// what differs is whether the folds hide behind transfers (streamed),
-// run concurrently (parallel/sharded), or queue after the barrier
-// (monolithic).
+// what differs is whether the folds hide behind transfers and run
+// concurrently (streamed) or queue after the barrier (monolithic).
 const syncMergeCostPerByte = time.Microsecond
 
 // syncSpec turns the calibrated pagerank workload into its large-rank-

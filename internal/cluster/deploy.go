@@ -133,13 +133,11 @@ type DeployConfig struct {
 	CheckpointJobs int
 
 	// SyncMode selects the global-reduction sync strategy for every
-	// tier: "monolithic" (single-frame objects, merge after the
-	// all-arrivals barrier, final broadcast to every master), "streamed"
-	// (bounded KindObjectPart frames, serial merge overlapped with
-	// transfers, final delivered as an exchange), "streamed-parallel"
-	// (streamed plus a worker-pool tree merge), or "streamed-sharded"
-	// (streamed plus shard-level merge for apps that support it). Empty
-	// picks streamed-parallel.
+	// tier: "streamed-parallel" (bounded KindObjectPart frames, a
+	// worker-pool tree merge overlapped with transfers, final delivered
+	// as an exchange) or "monolithic" (single-frame objects, serial
+	// merge after the all-arrivals barrier, final broadcast to every
+	// master). Empty picks streamed-parallel; any other value fails Run.
 	SyncMode string
 	// MergeCost charges every combine fold (master and head) an
 	// emulated duration per byte of the folded reduction object,

@@ -16,7 +16,7 @@ import (
 	"cloudburst/internal/workload"
 )
 
-// Tests for the full-duplex global reduction (streamed plans): the
+// Tests for the full-duplex global reduction (streamed plan): the
 // head streams the merge of every other cluster down to the laggard
 // while the laggard's own result is still uploading, instead of
 // waiting for all results and broadcasting the final to everyone.

@@ -62,7 +62,7 @@ type HeadConfig struct {
 	// results arrive (streamed parts vs single frames), how they merge
 	// (as each cluster finishes vs after the all-clusters barrier), and
 	// how the final gets back to the masters (monolithic broadcasts it;
-	// streamed plans run the exchange, see partialSend). Empty picks
+	// streamed-parallel runs the exchange, see partialSend). Empty picks
 	// streamed-parallel.
 	SyncMode string
 	// MergeCost charges each global-reduction fold an emulated duration
@@ -97,7 +97,7 @@ type Head struct {
 	arrivals    map[string]time.Time // site -> cluster-result arrival
 	stats       map[string]wire.Stats
 	objects     []gr.Reduction // monolithic mode only; streamed feeds merger
-	partial     *partialSend   // streamed plans: the exchange, once a laggard is elected
+	partial     *partialSend   // streamed plan: the exchange, once a laggard is elected
 	laggardObj  gr.Reduction   // the laggard's own result, folded last
 	registered  int
 	expected    int // clusters still expected to deliver a result
@@ -175,7 +175,7 @@ func NewHead(cfg HeadConfig) (*Head, error) {
 		progress:   make(map[string]int),
 	}
 	h.merger = gr.NewMerger(cfg.App, gr.MergerOptions{
-		Mode: plan.merge, Workers: mergeWorkers,
+		Mode: plan.merge(), Workers: mergeWorkers,
 		Clock: cfg.Clock, CostPerByte: cfg.MergeCost,
 	})
 	return h, nil

@@ -212,7 +212,7 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		hintDepth: make(map[int]int), hintWastePrev: make(map[int]int),
 		staged: make(map[int32]bool)}
 	m.merger = gr.NewMerger(cfg.App, gr.MergerOptions{
-		Mode: plan.merge, Workers: mergeWorkers,
+		Mode: plan.merge(), Workers: mergeWorkers,
 		Clock: cfg.Clock, CostPerByte: cfg.MergeCost,
 	})
 	m.cond = sync.NewCond(&m.mu)

@@ -10,24 +10,32 @@ import (
 
 // Sync modes: how reduction objects travel upstream, how each
 // receiver merges them, and how the final gets back down. The empty
-// string resolves to the streamed parallel default; "monolithic" keeps
-// the paper runtime's behavior — whole objects in single frames,
-// merged after an all-arrivals barrier, the final broadcast to every
-// master — as the measured baseline. Every streamed plan instead runs
-// the exchange (see Head.electLaggard).
+// string resolves to the streamed parallel default: objects ship as
+// bounded KindObjectPart streams, each receiver folds arrivals on a
+// worker-pool merge tree as they land, and the final is delivered by
+// the exchange (see Head.electLaggard). "monolithic" keeps the paper
+// runtime's behavior — whole objects in single frames, merged serially
+// after an all-arrivals barrier, the final broadcast to every master —
+// as the measured baseline.
 const (
 	SyncMonolithic       = "monolithic"
-	SyncStreamed         = "streamed"
 	SyncStreamedParallel = "streamed-parallel"
-	SyncStreamedSharded  = "streamed-sharded"
 )
 
-// syncPlan is a resolved sync mode: whether objects ship as bounded
-// KindObjectPart streams and which merge strategy receivers run.
+// syncPlan is a resolved sync mode. The merge strategy follows from
+// streamed: streamed receivers merge in parallel, monolithic ones
+// serially.
 type syncPlan struct {
 	name     string
 	streamed bool
-	merge    gr.MergeMode
+}
+
+// merge returns the receivers' merge strategy.
+func (p syncPlan) merge() gr.MergeMode {
+	if p.streamed {
+		return gr.MergeParallel
+	}
+	return gr.MergeSerial
 }
 
 // mergeWorkers is the modeled head/master node's merge fan-out (the
@@ -40,15 +48,11 @@ const mergeWorkers = 8
 func resolveSyncMode(mode string) (syncPlan, error) {
 	switch mode {
 	case "", SyncStreamedParallel:
-		return syncPlan{name: SyncStreamedParallel, streamed: true, merge: gr.MergeParallel}, nil
+		return syncPlan{name: SyncStreamedParallel, streamed: true}, nil
 	case SyncMonolithic:
-		return syncPlan{name: SyncMonolithic, streamed: false, merge: gr.MergeSerial}, nil
-	case SyncStreamed:
-		return syncPlan{name: SyncStreamed, streamed: true, merge: gr.MergeSerial}, nil
-	case SyncStreamedSharded:
-		return syncPlan{name: SyncStreamedSharded, streamed: true, merge: gr.MergeSharded}, nil
+		return syncPlan{name: SyncMonolithic}, nil
 	}
-	return syncPlan{}, fmt.Errorf("cluster: unknown sync mode %q (want monolithic, streamed, streamed-parallel, or streamed-sharded)", mode)
+	return syncPlan{}, fmt.Errorf("cluster: unknown sync mode %q (want %s or %s)", mode, SyncStreamedParallel, SyncMonolithic)
 }
 
 // objectCollector incrementally decodes streamed reduction objects

@@ -2,9 +2,10 @@ package gr
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -61,205 +62,6 @@ func (s *VectorSum) Decode(r io.Reader) error {
 // Bytes reports the accumulator's approximate size.
 func (s *VectorSum) Bytes() int { return 8 * len(s.V) }
 
-// Vector sharding: the accumulator splits into contiguous index
-// ranges so two same-length vectors can be merged shard-parallel with
-// zero copies. Shard sizing targets ~16K elements (128 KB) per shard —
-// big enough to amortize goroutine dispatch, small enough that large
-// rank vectors expose real parallelism.
-const (
-	vectorShardUnit = 16384
-	vectorShardMax  = 64
-)
-
-// Shards reports how many index-range shards the vector splits into.
-func (s *VectorSum) Shards() int {
-	n := len(s.V) / vectorShardUnit
-	if n < 1 {
-		n = 1
-	}
-	if n > vectorShardMax {
-		n = vectorShardMax
-	}
-	return n
-}
-
-// MergeShard folds shard i of other into shard i of the receiver.
-// Distinct shards touch disjoint index ranges, so calls with distinct
-// i values are safe to run concurrently.
-func (s *VectorSum) MergeShard(i int, other *VectorSum) error {
-	if len(other.V) != len(s.V) {
-		return fmt.Errorf("gr: vector length %d != %d", len(other.V), len(s.V))
-	}
-	shards := s.Shards()
-	if i < 0 || i >= shards {
-		return fmt.Errorf("gr: vector shard %d of %d", i, shards)
-	}
-	lo := i * len(s.V) / shards
-	hi := (i + 1) * len(s.V) / shards
-	for j := lo; j < hi; j++ {
-		s.V[j] += other.V[j]
-	}
-	return nil
-}
-
-// counterShards fixes the hash-partition count of a ShardedCounter.
-// It is part of the encoding (each shard ships separately), so it
-// must not change without a decode migration.
-const counterShards = 16
-
-// ShardedCounter counts occurrences by string key across fixed hash
-// partitions, so two counters merge shard-parallel: distinct shards
-// hold disjoint key sets (same FNV partition function on both sides),
-// which makes concurrent MergeShard calls safe — something a single
-// Go map can never offer.
-type ShardedCounter struct {
-	shards [counterShards]map[string]int64
-}
-
-// NewShardedCounter allocates an empty sharded counter.
-func NewShardedCounter() *ShardedCounter {
-	c := &ShardedCounter{}
-	for i := range c.shards {
-		c.shards[i] = make(map[string]int64)
-	}
-	return c
-}
-
-// counterShardOf maps a key to its shard (FNV-1a).
-func counterShardOf(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return int(h % counterShards)
-}
-
-// Inc adds delta to key's count.
-func (c *ShardedCounter) Inc(key string, delta int64) {
-	c.shards[counterShardOf(key)][key] += delta
-}
-
-// Shards reports the fixed hash-partition count.
-func (c *ShardedCounter) Shards() int { return counterShards }
-
-// Merge folds other's counts into c (all shards).
-func (c *ShardedCounter) Merge(other *ShardedCounter) error {
-	for i := range c.shards {
-		if err := c.MergeShard(i, other); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MergeShard folds shard i of other into shard i of c. Distinct
-// shards hold disjoint keys, so calls with distinct i values are safe
-// to run concurrently.
-func (c *ShardedCounter) MergeShard(i int, other *ShardedCounter) error {
-	if i < 0 || i >= counterShards {
-		return fmt.Errorf("gr: counter shard %d of %d", i, counterShards)
-	}
-	for k, v := range other.shards[i] {
-		c.shards[i][k] += v
-	}
-	return nil
-}
-
-// Counts materializes the merged key->count map (the Counter-shaped
-// accessor applications and examples read results through).
-func (c *ShardedCounter) Counts() map[string]int64 {
-	n := 0
-	for i := range c.shards {
-		n += len(c.shards[i])
-	}
-	out := make(map[string]int64, n)
-	for i := range c.shards {
-		for k, v := range c.shards[i] {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// Len reports the number of distinct keys without materializing.
-func (c *ShardedCounter) Len() int {
-	n := 0
-	for i := range c.shards {
-		n += len(c.shards[i])
-	}
-	return n
-}
-
-// Total sums every count without materializing.
-func (c *ShardedCounter) Total() int64 {
-	var n int64
-	for i := range c.shards {
-		for _, v := range c.shards[i] {
-			n += v
-		}
-	}
-	return n
-}
-
-// Encode gob-encodes the shard slice.
-func (c *ShardedCounter) Encode(w io.Writer) error {
-	shards := make([]map[string]int64, counterShards)
-	for i := range c.shards {
-		shards[i] = c.shards[i]
-	}
-	return gob.NewEncoder(w).Encode(shards)
-}
-
-// Decode restores the shards. Keys are re-hashed on the way in, so a
-// peer with a different (future) shard constant still decodes into
-// the local partitioning.
-func (c *ShardedCounter) Decode(r io.Reader) error {
-	var shards []map[string]int64
-	if err := gob.NewDecoder(r).Decode(&shards); err != nil {
-		return err
-	}
-	for i := range c.shards {
-		c.shards[i] = make(map[string]int64)
-	}
-	for _, m := range shards {
-		for k, v := range m {
-			c.Inc(k, v)
-		}
-	}
-	return nil
-}
-
-// Bytes estimates the counter's size.
-func (c *ShardedCounter) Bytes() int {
-	n := 0
-	for i := range c.shards {
-		for k := range c.shards[i] {
-			n += len(k) + 8
-		}
-	}
-	return n
-}
-
-// Top returns the n highest-count keys, ties broken lexicographically.
-func (c *ShardedCounter) Top(n int) []string {
-	counts := c.Counts()
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if counts[keys[i]] != counts[keys[j]] {
-			return counts[keys[i]] > counts[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
-	if len(keys) > n {
-		keys = keys[:n]
-	}
-	return keys
-}
-
 // Counter is a reduction object counting occurrences by string key
 // (keyed aggregation; the generalized-reduction equivalent of a
 // word-count combiner).
@@ -281,13 +83,27 @@ func (c *Counter) Merge(other *Counter) error {
 	return nil
 }
 
-// Encode gob-encodes the map.
-func (c *Counter) Encode(w io.Writer) error { return gob.NewEncoder(w).Encode(c.Counts) }
+// Encode writes the entry count, then each key (length-prefixed) and
+// its count in sorted key order, so equal counters encode to equal
+// bytes.
+func (c *Counter) Encode(w io.Writer) error {
+	b := binary.LittleEndian.AppendUint64(nil, uint64(len(c.Counts)))
+	for _, k := range slices.Sorted(maps.Keys(c.Counts)) {
+		b = binary.LittleEndian.AppendUint64(appendField(b, k), uint64(c.Counts[k]))
+	}
+	_, err := w.Write(b)
+	return err
+}
 
 // Decode restores the map.
 func (c *Counter) Decode(r io.Reader) error {
 	c.Counts = make(map[string]int64)
-	return gob.NewDecoder(r).Decode(&c.Counts)
+	f := fieldReader{r: r}
+	for i, n := 0, f.length("counter size"); i < n && f.err == nil; i++ {
+		k := f.field("counter key")
+		c.Counts[string(k)] += f.int64()
+	}
+	return f.err
 }
 
 // Bytes estimates the counter's size.
@@ -302,16 +118,9 @@ func (c *Counter) Bytes() int {
 // Top returns the n highest-count keys, ties broken lexicographically,
 // for rendering results.
 func (c *Counter) Top(n int) []string {
-	keys := make([]string, 0, len(c.Counts))
-	for k := range c.Counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if c.Counts[keys[i]] != c.Counts[keys[j]] {
-			return c.Counts[keys[i]] > c.Counts[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
+	keys := slices.Sorted(maps.Keys(c.Counts))
+	// Stable, so equal counts keep the lexicographic order.
+	sort.SliceStable(keys, func(i, j int) bool { return c.Counts[keys[i]] > c.Counts[keys[j]] })
 	if len(keys) > n {
 		keys = keys[:n]
 	}
@@ -460,13 +269,25 @@ func (c *Concat) Merge(other *Concat) error {
 	return nil
 }
 
-// Encode gob-encodes the items.
-func (c *Concat) Encode(w io.Writer) error { return gob.NewEncoder(w).Encode(c.Items) }
+// Encode writes the item count, then each item length-prefixed, in
+// item order.
+func (c *Concat) Encode(w io.Writer) error {
+	b := binary.LittleEndian.AppendUint64(nil, uint64(len(c.Items)))
+	for _, it := range c.Items {
+		b = appendField(b, it)
+	}
+	_, err := w.Write(b)
+	return err
+}
 
 // Decode restores the items.
 func (c *Concat) Decode(r io.Reader) error {
 	c.Items = nil
-	return gob.NewDecoder(r).Decode(&c.Items)
+	f := fieldReader{r: r}
+	for i, n := 0, f.length("concat size"); i < n && f.err == nil; i++ {
+		c.Items = append(c.Items, f.field("concat item"))
+	}
+	return f.err
 }
 
 // Bytes estimates the collection's size.
@@ -476,4 +297,61 @@ func (c *Concat) Bytes() int {
 		n += len(it)
 	}
 	return n
+}
+
+// appendField appends f to b, prefixed with its length.
+func appendField[T string | []byte](b []byte, f T) []byte {
+	return append(binary.LittleEndian.AppendUint64(b, uint64(len(f))), f...)
+}
+
+// maxFieldLen bounds a decoded count or length prefix; anything larger
+// is corrupt input, as in VectorSum.Decode and TopK.Decode.
+const maxFieldLen = 1 << 30
+
+// fieldReader decodes the little-endian count- and length-prefixed
+// fields of the Counter and Concat encodings. The first error sticks:
+// later reads return zero values and err reports it.
+type fieldReader struct {
+	r   io.Reader
+	buf [8]byte
+	err error
+}
+
+func (f *fieldReader) int64() int64 {
+	if f.err == nil {
+		_, f.err = io.ReadFull(f.r, f.buf[:])
+	}
+	if f.err != nil {
+		return 0
+	}
+	return int64(binary.LittleEndian.Uint64(f.buf[:]))
+}
+
+// length reads a count or length prefix, rejecting negative and
+// implausible values.
+func (f *fieldReader) length(what string) int {
+	n := f.int64()
+	if f.err == nil && (n < 0 || n > maxFieldLen) {
+		f.err = fmt.Errorf("gr: bad %s %d", what, n)
+	}
+	if f.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// field reads one length-prefixed byte string; empty reads as nil, as
+// Concat.Append stores an empty record. The buffer grows in 64 KiB
+// steps as bytes arrive, so a corrupt length fails at EOF instead of
+// allocating up to maxFieldLen first.
+func (f *fieldReader) field(what string) []byte {
+	n := f.length(what)
+	var b []byte
+	for len(b) < n && f.err == nil {
+		m := min(n-len(b), 64<<10)
+		b = slices.Grow(b, m)
+		_, f.err = io.ReadFull(f.r, b[len(b):len(b)+m])
+		b = b[:len(b)+m]
+	}
+	return b
 }

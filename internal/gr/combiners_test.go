@@ -2,6 +2,7 @@ package gr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -82,10 +83,12 @@ func TestCounterCodec(t *testing.T) {
 	c := NewCounter()
 	c.Inc("hello", 7)
 	c.Inc("world", 3)
+	c.Inc("", -1)
 	var buf bytes.Buffer
 	if err := c.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
+	enc := append([]byte(nil), buf.Bytes()...)
 	got := NewCounter()
 	if err := got.Decode(&buf); err != nil {
 		t.Fatal(err)
@@ -93,6 +96,57 @@ func TestCounterCodec(t *testing.T) {
 	if !reflect.DeepEqual(got.Counts, c.Counts) {
 		t.Fatalf("codec mismatch: %v", got.Counts)
 	}
+
+	// Equal counters encode to equal bytes whatever their insertion
+	// order: keys go out sorted.
+	r := NewCounter()
+	r.Inc("world", 3)
+	r.Inc("", -1)
+	r.Inc("hello", 7)
+	var rbuf bytes.Buffer
+	if err := r.Encode(&rbuf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rbuf.Bytes(), enc) {
+		t.Fatal("encoding depends on insertion order")
+	}
+
+	for i := 0; i < len(enc); i++ {
+		if err := NewCounter().Decode(bytes.NewReader(enc[:i])); err == nil {
+			t.Fatalf("truncated to %d of %d bytes: decoded", i, len(enc))
+		}
+	}
+	for name, b := range overLongFields(t, enc, "") {
+		if err := NewCounter().Decode(bytes.NewReader(b)); err == nil {
+			t.Fatalf("%s: decoded", name)
+		}
+	}
+}
+
+// overLongFields corrupts enc, an encoding whose count prefix is
+// followed by a length-prefixed field holding first, into inputs the
+// decoders must reject: negative and implausible counts and lengths,
+// and a length that runs past the end of the input.
+func overLongFields(t *testing.T, enc []byte, first string) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	set := func(name string, off int, v int64) {
+		b := append([]byte(nil), enc...)
+		binary.LittleEndian.PutUint64(b[off:], uint64(v))
+		out[name] = b
+	}
+	// The first field's length prefix sits right after the count.
+	if got := binary.LittleEndian.Uint64(enc[8:]); got != uint64(len(first)) {
+		t.Fatalf("first field length %d, want %d", got, len(first))
+	}
+	set("negative count", 0, -1)
+	set("implausible count", 0, maxFieldLen+1)
+	set("count past the end", 0, maxFieldLen)
+	set("negative length", 8, -1)
+	set("implausible length", 8, maxFieldLen+1)
+	set("length past the end", 8, int64(len(enc)))
+	set("long length past the end", 8, 1<<20)
+	return out
 }
 
 func TestTopKKeepsLowestScores(t *testing.T) {
@@ -213,16 +267,51 @@ func TestConcat(t *testing.T) {
 	if c.Bytes() != 11 {
 		t.Fatalf("Bytes = %d", c.Bytes())
 	}
+	c.Append(nil)
 	var buf bytes.Buffer
 	if err := c.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
+	enc := append([]byte(nil), buf.Bytes()...)
 	var got Concat
 	if err := got.Decode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Items, c.Items) {
-		t.Fatal("codec mismatch")
+		t.Fatalf("codec mismatch: %q", got.Items)
+	}
+
+	for i := 0; i < len(enc); i++ {
+		if err := new(Concat).Decode(bytes.NewReader(enc[:i])); err == nil {
+			t.Fatalf("truncated to %d of %d bytes: decoded", i, len(enc))
+		}
+	}
+	for name, b := range overLongFields(t, enc, "one") {
+		if err := new(Concat).Decode(bytes.NewReader(b)); err == nil {
+			t.Fatalf("%s: decoded", name)
+		}
+	}
+	var empty Concat
+	buf.Reset()
+	if err := empty.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Decode(&buf); err != nil || len(got.Items) != 0 {
+		t.Fatalf("empty concat decoded to %q, %v", got.Items, err)
+	}
+
+	// An item longer than one 64 KiB read step.
+	long := Concat{Items: [][]byte{bytes.Repeat([]byte{9}, 64<<10+1)}}
+	buf.Reset()
+	if err := long.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	enc = buf.Bytes()
+	if err := got.Decode(bytes.NewReader(enc)); err != nil || !reflect.DeepEqual(got.Items, long.Items) {
+		t.Fatalf("long item did not round-trip: %v", err)
+	}
+	if err := got.Decode(bytes.NewReader(enc[:len(enc)-1])); err == nil {
+		t.Fatal("long item truncated by one byte: decoded")
 	}
 }
 

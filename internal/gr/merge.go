@@ -9,23 +9,6 @@ import (
 	"cloudburst/internal/netsim"
 )
 
-// ShardedReduction is an optional refinement of Reduction for objects
-// whose state splits into independent shards (a rank vector's index
-// ranges, a counter's hash partitions). Two reductions of the same
-// shape merge shard-parallel with zero copies: MergeShard(i, other)
-// folds only shard i of other into shard i of the receiver, and
-// distinct shards may be merged concurrently.
-type ShardedReduction interface {
-	Reduction
-	// Shards reports the shard count. Two reductions merge
-	// shard-parallel only when their counts agree.
-	Shards() int
-	// MergeShard folds shard i of other into shard i of the receiver.
-	// Calls with distinct i values must be safe to run concurrently;
-	// other is only read.
-	MergeShard(i int, other Reduction) error
-}
-
 // MergeMode selects how a Merger combines arriving reductions.
 type MergeMode int
 
@@ -37,10 +20,6 @@ const (
 	// pool: any two ready objects merge as soon as a worker frees,
 	// forming a binary tree whose shape follows arrival order.
 	MergeParallel
-	// MergeSharded serializes arrivals but parallelizes each merge
-	// across the reduction's shards (ShardedReduction); non-shardable
-	// objects fall back to a whole-object merge.
-	MergeSharded
 )
 
 func (m MergeMode) String() string {
@@ -49,19 +28,17 @@ func (m MergeMode) String() string {
 		return "serial"
 	case MergeParallel:
 		return "parallel"
-	case MergeSharded:
-		return "sharded"
 	}
 	return fmt.Sprintf("MergeMode(%d)", int(m))
 }
 
 // MergerStats describes the work a Merger performed. Busy sums the
-// wall-clock spans of every merge operation — under parallel modes the
+// wall-clock spans of every merge operation — under parallel mode the
 // spans overlap, so Busy exceeding the Finish tail is exactly the
 // merge time hidden behind transfer.
 type MergerStats struct {
 	// Merges is the number of merge operations performed (pair merges,
-	// or whole arrivals under serial/sharded modes).
+	// or whole arrivals under serial mode).
 	Merges int
 	// Busy is the summed wall-clock span of all merge operations.
 	Busy time.Duration
@@ -86,13 +63,13 @@ type Merger struct {
 	cond    *sync.Cond
 	ready   []Reduction // objects awaiting a merge partner
 	running int         // pair-merge workers currently busy
-	acc     Reduction   // serial/sharded accumulator
+	acc     Reduction   // serial accumulator
 	stats   MergerStats
 	err     error
 
-	// serial serializes accumulator merges under serial/sharded modes:
-	// Adds may arrive from concurrent connection handlers, but those
-	// modes fold into one shared accumulator, so the folds must queue.
+	// serial serializes accumulator merges under serial mode: Adds may
+	// arrive from concurrent connection handlers, but that mode folds
+	// into one shared accumulator, so the folds must queue.
 	serial sync.Mutex
 }
 
@@ -101,8 +78,8 @@ type Merger struct {
 type MergerOptions struct {
 	// Mode selects the merge strategy.
 	Mode MergeMode
-	// Workers bounds the merge worker pool for MergeParallel and the
-	// shard fan-out for MergeSharded; <=0 picks GOMAXPROCS.
+	// Workers bounds the merge worker pool for MergeParallel; <=0
+	// picks GOMAXPROCS.
 	Workers int
 	// Clock times merge spans (wall side); nil picks netsim.Instant.
 	Clock netsim.Clock
@@ -112,7 +89,6 @@ type MergerOptions struct {
 	// paper's sizes, which silently erases the very real CPU cost of
 	// folding a paper-scale (~300 MB) object; this knob restores it the
 	// same way the engine's per-unit cost restores map-phase compute.
-	// Sharded merges divide the charge across their shard parallelism.
 	// Zero charges nothing (merges cost only their real CPU).
 	CostPerByte time.Duration
 }
@@ -131,16 +107,12 @@ func NewMerger(app App, opts MergerOptions) *Merger {
 	return m
 }
 
-// pace charges the emulated cost of folding other, divided by par (the
-// fold's internal parallelism; 1 for whole-object merges).
-func (m *Merger) pace(other Reduction, par int) {
+// pace charges the emulated cost of folding other.
+func (m *Merger) pace(other Reduction) {
 	if m.cost <= 0 {
 		return
 	}
-	if par < 1 {
-		par = 1
-	}
-	m.clock.Sleep(time.Duration(other.Bytes()) * m.cost / time.Duration(par))
+	m.clock.Sleep(time.Duration(other.Bytes()) * m.cost)
 }
 
 // Add submits one reduction object. Ownership transfers to the
@@ -167,9 +139,9 @@ func (m *Merger) Add(red Reduction) error {
 }
 
 // addAcc folds red into the shared accumulator on the caller's
-// goroutine (serial and sharded modes). The fold runs outside the
-// state lock so stats reads never block behind it, but concurrent Adds
-// (one per connection handler) must still queue on the accumulator.
+// goroutine (serial mode). The fold runs outside the state lock so
+// stats reads never block behind it, but concurrent Adds (one per
+// connection handler) must still queue on the accumulator.
 func (m *Merger) addAcc(red Reduction) error {
 	m.mu.Lock()
 	if m.err != nil {
@@ -195,34 +167,20 @@ func (m *Merger) addAcc(red Reduction) error {
 }
 
 // fold merges src into dst on the caller's goroutine, charges the
-// emulated cost, and tallies the span. Sharded mode parallelizes
-// across the objects' shards when both sides are shardable with
-// matching counts; everything else is a whole-object merge. src is
-// only read.
+// emulated cost, and tallies the span. src is only read.
 func (m *Merger) fold(dst, src Reduction) error {
 	t0 := m.clock.Now()
-	var err error
-	par := 1
-	sd, okD := dst.(ShardedReduction)
-	ss, okS := src.(ShardedReduction)
-	if m.mode == MergeSharded && okD && okS && sd.Shards() == ss.Shards() && sd.Shards() > 1 {
-		err = mergeShards(sd, src, m.workers)
-		if par = sd.Shards(); par > m.workers {
-			par = m.workers
-		}
-	} else {
-		err = dst.Merge(src)
-	}
+	err := dst.Merge(src)
 	if err == nil {
-		m.pace(src, par)
+		m.pace(src)
 	}
 	span := m.clock.Now().Sub(t0)
 
 	m.mu.Lock()
 	m.stats.Merges++
 	m.stats.Busy += span
-	if par > m.stats.MaxParallel {
-		m.stats.MaxParallel = par
+	if m.stats.MaxParallel < 1 {
+		m.stats.MaxParallel = 1
 	}
 	m.mu.Unlock()
 	return err
@@ -238,47 +196,6 @@ func (m *Merger) Fold(dst, src Reduction) error {
 		return fmt.Errorf("gr: merge: %w", err)
 	}
 	return nil
-}
-
-// mergeShards fans MergeShard calls for every shard of other into dst
-// across at most workers goroutines.
-func mergeShards(dst ShardedReduction, other Reduction, workers int) error {
-	shards := dst.Shards()
-	if workers > shards {
-		workers = shards
-	}
-	var (
-		next int64
-		mu   sync.Mutex
-		wg   sync.WaitGroup
-		errs error
-	)
-	next = -1
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				next++
-				i := next
-				mu.Unlock()
-				if i >= int64(shards) {
-					return
-				}
-				if err := dst.MergeShard(int(i), other); err != nil {
-					mu.Lock()
-					if errs == nil {
-						errs = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return errs
 }
 
 // kick (parallel mode, caller holds mu) starts pair merges while two
@@ -301,7 +218,7 @@ func (m *Merger) pair(a, b Reduction) {
 	t0 := m.clock.Now()
 	err := a.Merge(b)
 	if err == nil {
-		m.pace(b, 1)
+		m.pace(b)
 	}
 	span := m.clock.Now().Sub(t0)
 
@@ -346,7 +263,7 @@ func (m *Merger) Finish() (Reduction, MergerStats, error) {
 				m.err = fmt.Errorf("gr: merge: %w", err)
 				return nil, m.stats, m.err
 			}
-			m.pace(b, 1)
+			m.pace(b)
 			m.stats.Busy += m.clock.Now().Sub(t0)
 			m.stats.Merges++
 			m.ready = append(m.ready, a)
@@ -377,24 +294,6 @@ func (m *Merger) Stats() MergerStats {
 // gr contract). workers <= 0 picks GOMAXPROCS.
 func MergeAllParallel(app App, objs []Reduction, workers int) (Reduction, error) {
 	m := NewMerger(app, MergerOptions{Mode: MergeParallel, Workers: workers})
-	for _, o := range objs {
-		if err := m.Add(o); err != nil {
-			return nil, fmt.Errorf("gr: global reduction: %w", err)
-		}
-	}
-	red, _, err := m.Finish()
-	if err != nil {
-		return nil, fmt.Errorf("gr: global reduction: %w", err)
-	}
-	return red, nil
-}
-
-// MergeAllSharded merges objs serially at the object level but
-// shard-parallel within each merge (ShardedReduction); objects without
-// shards fall back to whole-object merges. workers <= 0 picks
-// GOMAXPROCS.
-func MergeAllSharded(app App, objs []Reduction, workers int) (Reduction, error) {
-	m := NewMerger(app, MergerOptions{Mode: MergeSharded, Workers: workers})
 	for _, o := range objs {
 		if err := m.Add(o); err != nil {
 			return nil, fmt.Errorf("gr: global reduction: %w", err)

@@ -11,13 +11,9 @@ import (
 	"cloudburst/internal/workload"
 )
 
-// mergeTestParams shrinks each registered application to test scale
-// while keeping its merge path interesting: pagerank's page count
-// clears two VectorSum shard units so MergeSharded actually
-// shard-splits, and wordcount's ShardedCounter is shard-split at any
-// size.
+// mergeTestParams shrinks each registered application to test scale.
 //
-// The pagerank parameters also make its floating-point sums exactly
+// The pagerank parameters make its floating-point sums exactly
 // associative, so digest equality across merge orders is a true
 // invariant rather than a lucky one: with 2^15 pages, uniform
 // out-degree 4, and damping 1, every edge contributes exactly 2^-17
@@ -96,9 +92,8 @@ func digestOf(t *testing.T, app gr.App, red gr.Reduction) string {
 
 // TestMergeStrategiesRandomOrderEquivalence is the gr contract check
 // behind the sync-mode ablation: for every registered application, the
-// serial fold, the worker-pool pair-merge tree, and the shard-parallel
-// fold must all produce the same result digest regardless of the order
-// objects arrive in — merge strategy and arrival order are scheduling
+// serial fold and the worker-pool pair-merge tree must produce the same
+// result digest regardless of the order objects arrive in — merge strategy and arrival order are scheduling
 // choices, never semantic ones.
 func TestMergeStrategiesRandomOrderEquivalence(t *testing.T) {
 	const (
@@ -115,9 +110,6 @@ func TestMergeStrategiesRandomOrderEquivalence(t *testing.T) {
 		}},
 		{"parallel", func(app gr.App, objs []gr.Reduction) (gr.Reduction, error) {
 			return gr.MergeAllParallel(app, objs, 4)
-		}},
-		{"sharded", func(app gr.App, objs []gr.Reduction) (gr.Reduction, error) {
-			return gr.MergeAllSharded(app, objs, 4)
 		}},
 	}
 
@@ -165,8 +157,8 @@ func TestMergeStrategiesRandomOrderEquivalence(t *testing.T) {
 // TestMergerConcurrentAddEquivalence models the cluster receive path:
 // one Add per connection-handler goroutine, all concurrent, under
 // every merge mode. Digests must match the serial baseline, and the
-// run must be race-clean (the serial/sharded modes fold into one
-// shared accumulator behind the merger's fold mutex).
+// run must be race-clean (the serial mode folds into one shared
+// accumulator behind the merger's fold mutex).
 func TestMergerConcurrentAddEquivalence(t *testing.T) {
 	const (
 		nObjects = 12
@@ -193,7 +185,7 @@ func TestMergerConcurrentAddEquivalence(t *testing.T) {
 			}
 			want := digestOf(t, app, base)
 
-			for _, mode := range []gr.MergeMode{gr.MergeSerial, gr.MergeParallel, gr.MergeSharded} {
+			for _, mode := range []gr.MergeMode{gr.MergeSerial, gr.MergeParallel} {
 				t.Run(fmt.Sprint(mode), func(t *testing.T) {
 					m := gr.NewMerger(app, gr.MergerOptions{Mode: mode, Workers: 4})
 					objs := decodeObjects(t, app, encoded, order)
@@ -255,7 +247,7 @@ func TestMergerFoldAfterFinishEquivalence(t *testing.T) {
 			}
 			want := digestOf(t, app, base)
 
-			for _, mode := range []gr.MergeMode{gr.MergeSerial, gr.MergeParallel, gr.MergeSharded} {
+			for _, mode := range []gr.MergeMode{gr.MergeSerial, gr.MergeParallel} {
 				t.Run(fmt.Sprint(mode), func(t *testing.T) {
 					m := gr.NewMerger(app, gr.MergerOptions{Mode: mode, Workers: 4})
 					objs := decodeObjects(t, app, encoded, order)

@@ -761,7 +761,7 @@ type SyncReport struct {
 	MaxParallel     int           // peak concurrent mergers observed
 	CheckpointSkips int           // checkpoint pushes elided as unchanged
 
-	// The exchange (streamed plans, two or more clusters): PartialSite
+	// The exchange (streamed plan, two or more clusters): PartialSite
 	// is the laggard — the last cluster to deliver, which received the
 	// merge of all the others instead of a Final broadcast — and
 	// PartialHiddenEmu how long that downlink had already been running

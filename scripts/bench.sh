@@ -24,11 +24,10 @@
 #     the staged variant's wall-clock and S3-egress win enforced on
 #     the multi-iteration run) -> BENCH_buffer.json
 #   - `cbbench -experiment sync` (global-reduction sync ablation:
-#     monolithic single-frame baseline vs streamed part frames with
-#     serial / parallel / shard-level merging, on the large-rank-vector
-#     pagerank in env-cloud; digest-checked, with the streamed-parallel
-#     and streamed-sharded wall-clock wins and merge concurrency
-#     enforced) -> BENCH_sync.json
+#     monolithic single-frame baseline vs streamed part frames with a
+#     parallel merge tree, on the large-rank-vector pagerank in
+#     env-cloud; digest-checked, with the streamed-parallel wall-clock
+#     win and merge concurrency enforced) -> BENCH_sync.json
 #   - `cbbench -experiment advisor` (history-driven burst advisor:
 #     cold-start elastic run recorded into the history database, then
 #     two advisor-planned runs warm-started from it; digest-checked,
@@ -52,9 +51,8 @@ BUFFER_OUT="${BUFFER_OUT:-BENCH_buffer.json}"
 SYNC_OUT="${SYNC_OUT:-BENCH_sync.json}"
 ADVISOR_OUT="${ADVISOR_OUT:-BENCH_advisor.json}"
 HISTORY_DIR="${HISTORY_DIR:-.cloudburst-history}"
-# The sync ablation needs pages >= 2 shard units for shard-level merge
-# parallelism to engage, which caps its divisor at 9 (see
-# internal/gr/combiners.go); it runs one notch below the default.
+# The sync ablation runs one notch below the default divisor, the
+# scale its recorded history (EXPERIMENTS.md) was measured at.
 SYNC_DIVISOR="${SYNC_DIVISOR:-8}"
 
 go run ./cmd/cbbench -experiment overlap \

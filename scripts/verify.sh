@@ -3,7 +3,8 @@
 #   - build, vet and every test, plus the benchmark module's smoke test;
 #   - race passes over every concurrency-heavy package, then twice over
 #     the membership, sync, copy-free chunk-reply and fetch/span tests;
-#   - 5 s fuzz runs of the wire decoder and the direct-read path;
+#   - 5 s fuzz runs of the wire decoder, the direct-read path and the
+#     Counter/Concat combiner decoders;
 #   - smoke runs (heavily shrunk, digest-checked) of the overlap,
 #     autotune, elastic, spot, buffer, sync and advisor experiments,
 #     and cbadvise reading the history the advisor run wrote;
@@ -39,6 +40,9 @@ go test -race -count=2 -run 'Vectored|OneWritePerSend|RecvInto|DirectRead|BadRep
 # panic, never write outside the destination).
 go test -run '^$' -fuzz FuzzDecode -fuzztime 5s ./internal/wire/
 go test -run '^$' -fuzz FuzzReadInto -fuzztime 5s ./internal/wire/
+# Reduction objects arrive off the wire too: the hand-rolled Counter
+# and Concat decoders must reject corrupt counts and lengths.
+go test -run '^$' -fuzz FuzzCombinerDecode -fuzztime 5s ./internal/gr/
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
@@ -64,10 +68,10 @@ smoke spot
 # wall-clock/egress win is asserted by scripts/bench.sh at real scale,
 # where emulated S3 latency dominates loopback noise.
 smoke buffer
-# Sync ablation at smoke scale: validates digest invariance across
-# monolithic and the three streamed merge strategies (transport and
-# merge scheduling must never change results); the wall-clock win and
-# merge concurrency are asserted by scripts/bench.sh at real scale.
+# Sync ablation at smoke scale: validates digest invariance between
+# monolithic and streamed-parallel (transport and merge scheduling
+# must never change results); the wall-clock win and merge concurrency
+# are asserted by scripts/bench.sh at real scale.
 smoke sync
 # Advisor warm-vs-cold sequence at smoke scale: validates that the
 # history store round-trips records, the warm-started controller keeps
