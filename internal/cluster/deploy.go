@@ -552,27 +552,12 @@ func Run(cfg DeployConfig) (*RunResult, error) {
 			}
 		}(site, masterLn.Addr().String())
 
-		// The elastic site's provisioner spawns 1-core join slaves that
-		// share the site's cache, pool, and shaped master link.
+		// The elastic site's provisioner spawns 1-core join slaves with the
+		// site's slave config, so they share its cache, pool, buffer and
+		// shaped master link.
 		if prov != nil && site.Name == cfg.Elastic.Site {
-			spawnCfg := SlaveConfig{
-				Site: site.Name, App: cfg.App, Cores: 1, Join: true,
-				HomeStore: site.HomeStore, RemoteStores: site.RemoteStores,
-				Fetch: cfg.Fetch, FetchAutotune: cfg.FetchAutotune,
-				GroupUnits:     cfg.GroupUnits,
-				JobsPerRequest: cfg.JobsPerRequest,
-				HomeFetch:      site.HomeFetch, UnitCostScale: site.UnitCostScale,
-				CostJitter: site.CostJitter,
-				Prefetch:   cfg.Prefetch, PrefetchBudget: cfg.PrefetchBudget,
-				Cache: cache, Pool: pool,
-				CheckpointJobs:    cfg.CheckpointJobs,
-				HeartbeatInterval: cfg.HeartbeatInterval,
-				SyncMode:          cfg.SyncMode,
-				Clock:             cfg.Clock, Logf: cfg.Logf,
-			}
-			if buffer != nil {
-				spawnCfg.Buffer = buffer
-			}
+			spawnCfg := slaveCfg
+			spawnCfg.Cores, spawnCfg.Join = 1, true
 			masterAddr := masterLn.Addr().String()
 			dial := store.Dialer(slaveShaper.DialerBoth())
 			revoking := cfg.Revocations != nil && len(cfg.Revocations.Events) > 0

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cloudburst/internal/store"
 )
@@ -158,25 +159,90 @@ func TestRunPrefetchErrorPropagatesCleanly(t *testing.T) {
 	}
 }
 
-// TestSlavePrefetchReleasesBudgetOnError drives the slave directly
+// TestSlavePrefetchReleasesBudgetOnError drives a 2-core slave directly
 // against a master and checks the shared byte budget is made whole
-// after a mid-run failure (i.e., error paths release what prefetch
-// acquired).
+// after a mid-run retrieval failure: every error exit releases what
+// prefetch acquired, including a grant still in flight when the
+// foreground fails.
 func TestSlavePrefetchReleasesBudgetOnError(t *testing.T) {
 	cfg, _ := fixture(t, 8000, 8, 4, 2, 0)
-	site := &cfg.Sites[0]
+	site := cfg.Sites[0]
 	failing := &failAfterReads{Store: site.HomeStore}
 	failing.left.Store(2)
-	site.HomeStore = failing
-	cfg.Prefetch = true
-	cfg.PrefetchBudget = 1 << 20
-	_, err := Run(cfg)
-	if err == nil {
+	_, headAddr := startHead(t, cfg)
+	_, masterAddr, _ := startMaster(t, cfg, headAddr, 2)
+	const budget = 1 << 20
+	sl, err := NewSlave(SlaveConfig{
+		Site: site.Name, App: cfg.App, Cores: 2,
+		HomeStore: failing, RemoteStores: site.RemoteStores,
+		Prefetch: true, PrefetchBudget: budget,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sl.Run(masterAddr, dialTCP); err == nil {
 		t.Fatal("expected failure")
 	}
-	// The deployment tears down; reaching here without a deadlock (the
-	// worker's deferred cleanup drained its in-flight prefetch) is the
-	// point. Budget accounting is checked at the unit level below.
+	if got := sl.budget.avail; got != budget {
+		t.Fatalf("prefetch budget leaked: %d of %d bytes available", got, budget)
+	}
+}
+
+// gatedReads holds the first read until open is closed, serves the
+// second, and fails every read from the third on, closing failing when
+// the third arrives.
+type gatedReads struct {
+	store.Store
+	reads   atomic.Int64
+	open    chan struct{}
+	failing chan struct{}
+}
+
+func (g *gatedReads) ReadAt(name string, p []byte, off int64) (int, error) {
+	n := g.reads.Add(1)
+	if n == 1 {
+		<-g.open
+	}
+	if n == 3 {
+		close(g.failing)
+	}
+	if n >= 3 {
+		return 0, errors.New("store went away")
+	}
+	return g.Store.ReadAt(name, p, off)
+}
+
+// TestPreemptDrainReleasesFailedPrefetch: a spot warning that finds the
+// in-flight prefetch failed must still release the chunks that prefetch
+// did fetch. The foreground's first read is held while the prefetch
+// goroutine fetches the next grant (one chunk lands, the next read
+// fails); the warning then lands before the foreground reaches its
+// second job, so the preempt drain is what settles the failed grant.
+func TestPreemptDrainReleasesFailedPrefetch(t *testing.T) {
+	cfg, _ := fixture(t, 4000, 4, 4, 1, 0)
+	home := &gatedReads{Store: cfg.Sites[0].HomeStore,
+		open: make(chan struct{}), failing: make(chan struct{})}
+	_, headAddr := startHead(t, cfg)
+	_, masterAddr, _ := startMaster(t, cfg, headAddr, 1)
+	const budget = 1 << 20
+	sl, err := NewSlave(SlaveConfig{
+		Site: "local", App: cfg.App, Cores: 1, HomeStore: home,
+		Prefetch: true, PrefetchBudget: budget, JobsPerRequest: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { _, err := sl.Run(masterAddr, dialTCP); done <- err }()
+	<-home.failing
+	sl.PreemptWarn(time.Second)
+	close(home.open)
+	if err := <-done; err == nil {
+		t.Fatal("worker with a failed prefetch must fail")
+	}
+	if got := sl.budget.avail; got != budget {
+		t.Fatalf("prefetch budget leaked: %d of %d bytes available", got, budget)
+	}
 }
 
 func TestByteBudgetAccounting(t *testing.T) {

@@ -100,10 +100,10 @@ type SlaveConfig struct {
 	// since it, instead of the slave's whole grant history. Zero
 	// disables checkpointing.
 	CheckpointJobs int
-	// SyncMode selects how results and checkpoints ship upstream: the
-	// streamed modes encode straight into bounded KindObjectPart frames
-	// (no whole-object allocation on the wire path), "monolithic" keeps
-	// the single-frame baseline. Empty picks streamed-parallel.
+	// SyncMode selects how results and checkpoints ship upstream:
+	// "streamed-parallel" (the default when empty) encodes straight into
+	// bounded KindObjectPart frames (no whole-object allocation on the
+	// wire path), "monolithic" keeps the single-frame baseline.
 	SyncMode string
 	// HeartbeatInterval, when positive, makes each worker heartbeat its
 	// master connection so long retrievals are not mistaken for stalls.
@@ -498,13 +498,53 @@ func jitterFactor(w int, j float64) float64 {
 	return 1 + j*(2*frac-1)
 }
 
-// worker is one virtual core: its own master connection, engine, and
+// worker is one virtual core: its own master connection, engine and
 // private reduction object, shipped to the master when the pool dries.
+// A job is granted (requestNow or prefetch), fetched (prefetch, or on
+// demand in reduce), reduced (reduce) and reported (the next request or
+// the result) — or, on a master drain or a spot warning, returned
+// unprocessed by retire, the only early exit.
+type worker struct {
+	s      *Slave
+	idx    int
+	conn   *wire.Conn
+	engine *gr.Engine
+	red    gr.Reduction
+	stats  *metrics.Breakdown
+
+	// drainReq latches the master's retire command: a KindDrain push
+	// absorbed by call (possibly on the prefetch goroutine) or a
+	// drain-flagged grant. The worker retires at its next grant.
+	drainReq atomic.Bool
+
+	pending []int32 // completions not yet reported
+	// covered is every job reduced into red: the job-set tag that lets
+	// the master merge an adopted checkpoint against re-execution.
+	covered []int32
+	// held names every item of the current grant, plus a preempt
+	// drain's adopted in-flight grant. Reduced or returned items hold
+	// nothing, so releasing held on exit frees what is outstanding.
+	held []*jobItem
+
+	// At most one grant is in flight on the prefetch goroutine; the
+	// foreground never touches the connection while one is out, which
+	// keeps the single master connection's request/response strict.
+	nextCh   chan *grantResult
+	inflight bool
+
+	jobWallEMA time.Duration // one job's wall cost, for preempt drains
+
+	ckptSeq, lastCkptLen int
+	lastCkptHash         uint64
+
+	warmWG sync.WaitGroup // in-flight hint warmers
+}
+
+// worker dials the master, registers core idx and runs its grant loop.
 func (s *Slave) worker(masterAddr string, dial store.Dialer, idx int) (metrics.Snapshot, error) {
-	var zero metrics.Snapshot
 	raw, err := dial("tcp", masterAddr)
 	if err != nil {
-		return zero, fmt.Errorf("cluster: slave %s: dial master: %w", s.cfg.Site, err)
+		return metrics.Snapshot{}, fmt.Errorf("cluster: slave %s: dial master: %w", s.cfg.Site, err)
 	}
 	conn := wire.NewConn(raw)
 	conn.SetBufferPool(s.cfg.Pool)
@@ -512,37 +552,14 @@ func (s *Slave) worker(masterAddr string, dial store.Dialer, idx int) (metrics.S
 	s.trackConn(conn)
 	defer s.untrackConn(conn)
 
-	// drainReq latches the master's retire command. It may arrive as an
-	// asynchronous KindDrain push (absorbed below, possibly on the
-	// prefetch goroutine) or as a drain-flagged grant; either way the
-	// worker retires at the top of its next loop iteration.
-	var drainReq atomic.Bool
-	call := func(m *wire.Message) (*wire.Message, error) {
-		if err := conn.Send(m); err != nil {
-			return nil, err
-		}
-		for {
-			resp, err := conn.Recv()
-			if err != nil {
-				return nil, err
-			}
-			switch resp.Kind {
-			case wire.KindDrain:
-				drainReq.Store(true)
-				continue
-			case wire.KindError:
-				return nil, &wire.RemoteError{Msg: resp.Err}
-			}
-			return resp, nil
-		}
-	}
-
+	w := &worker{s: s, idx: idx, conn: conn, stats: &metrics.Breakdown{},
+		nextCh: make(chan *grantResult, 1)}
 	regKind := wire.KindRegisterSlave
 	if s.cfg.Join {
 		regKind = wire.KindJoin
 	}
-	if _, err := call(&wire.Message{Kind: regKind, Site: s.cfg.Site}); err != nil {
-		return zero, err
+	if _, err := w.call(&wire.Message{Kind: regKind, Site: s.cfg.Site}); err != nil {
+		return metrics.Snapshot{}, err
 	}
 	if s.cfg.HeartbeatInterval > 0 {
 		stop := wire.HeartbeatsWith(conn, s.cfg.HeartbeatInterval, s.cfg.Logf)
@@ -553,470 +570,466 @@ func (s *Slave) worker(masterAddr string, dial store.Dialer, idx int) (metrics.S
 	if scale <= 0 {
 		scale = 1
 	}
-	scale *= jitterFactor(idx, s.cfg.CostJitter)
-	stats := &metrics.Breakdown{}
-	engine := gr.NewEngine(s.cfg.App, gr.EngineOptions{
+	w.engine = gr.NewEngine(s.cfg.App, gr.EngineOptions{
 		GroupUnits:    s.cfg.GroupUnits,
 		Clock:         s.cfg.Clock,
-		Stats:         stats,
-		UnitCostScale: scale,
+		Stats:         w.stats,
+		UnitCostScale: scale * jitterFactor(idx, s.cfg.CostJitter),
 	})
-	red := s.cfg.App.NewReduction()
-	var pending []int32 // completions not yet reported
+	w.red = s.cfg.App.NewReduction()
+	return w.run()
+}
 
-	// Checkpoint state: covered is every job this worker has reduced
-	// into red, cumulatively — the job-set tag that lets the master
-	// merge an adopted checkpoint idempotently against re-execution.
-	// jobWallEMA tracks the wall cost of one job so a preemption drain
-	// can judge what still fits in the warning window.
-	var covered []int32
-	ckptSeq, sinceCkpt := 0, 0
-	var jobWallEMA time.Duration
-	noteJobWall := func(d time.Duration) {
-		if jobWallEMA == 0 {
-			jobWallEMA = d
-		} else {
-			jobWallEMA = (jobWallEMA + d) / 2
-		}
-	}
-	// checkpoint ships the current partial reduction as a one-way,
-	// sequence-numbered push. Failure is harmless — the master just
-	// keeps the previous checkpoint — so errors are swallowed; a dead
-	// connection surfaces at the next request anyway.
-	//
-	// Cadence guard: the encoded object is hashed, and a checkpoint
-	// byte-identical to the previous one is skipped — the master's copy
-	// is already current, so re-shipping it buys nothing. (The skipped
-	// push's extra covered chunks are safe to omit: re-executing a chunk
-	// that contributed nothing reproduces the same reduction.)
-	var lastCkptHash uint64
-	var lastCkptLen int
-	checkpoint := func() {
-		enc, release, err := gr.EncodeReductionTo(red, s.cfg.Pool)
-		if err != nil {
-			return
-		}
-		defer release()
-		h := hashBytes(enc)
-		if ckptSeq > 0 && len(enc) == lastCkptLen && h == lastCkptHash {
-			stats.CountCheckpointSkip()
-			return
-		}
-		lastCkptHash, lastCkptLen = h, len(enc)
-		stats.CountCheckpoint()
-		ckptSeq++
-		msg := &wire.Message{
-			Kind: wire.KindCheckpoint, Seq: ckptSeq,
-			Completed: append([]int32(nil), covered...),
-		}
-		if s.plan.streamed {
-			ow := wire.NewObjectWriter(conn, s.partSize())
-			if _, err := ow.Write(enc); err != nil {
-				return
-			}
-			if err := ow.Close(); err != nil {
-				return
-			}
-			stats.AddObjectStream(ow.Frames(), ow.Bytes(), int64(red.Bytes()))
-		} else {
-			msg.Object = enc
-		}
-		msg.Stats = wire.Stats{Breakdown: stats.Snapshot()}
-		_ = conn.Send(msg)
-	}
-
-	// shipResult encodes and ships this worker's reduction as its
-	// KindSlaveResult (a non-nil Returned marks a drain flush). Under a
-	// streamed plan the object encodes straight into bounded part
-	// frames — the full encoded object is never materialized — and the
-	// terminal message carries no Object. Returns the snapshot shipped.
-	shipResult := func(returned []int32) (metrics.Snapshot, error) {
-		msg := &wire.Message{Kind: wire.KindSlaveResult, Completed: pending, Returned: returned}
-		if s.plan.streamed {
-			ow := wire.NewObjectWriter(conn, s.partSize())
-			if err := red.Encode(ow); err != nil {
-				return zero, err
-			}
-			if err := ow.Close(); err != nil {
-				return zero, err
-			}
-			stats.AddObjectStream(ow.Frames(), ow.Bytes(), int64(red.Bytes()))
-		} else {
-			enc, err := gr.EncodeReduction(red)
-			if err != nil {
-				return zero, err
-			}
-			msg.Object = enc
-		}
-		snap := stats.Snapshot()
-		msg.Stats = wire.Stats{Breakdown: snap}
-		if _, err := call(msg); err != nil {
-			return zero, err
-		}
-		return snap, nil
-	}
-
-	request := func(completed []int32) (*wire.Message, error) {
-		// A nil Resident means "no report" (cache disabled); with the
-		// cache enabled the report is always non-nil — even empty — so a
-		// drained cache clears the master's stale warm set.
-		var resident []int32
-		if s.cfg.Cache.Enabled() {
-			if resident = s.residentIDs(); resident == nil {
-				resident = []int32{}
-			}
-		}
-		// Piggyback the hint-waste ledger so the master can trim this
-		// slave's effective hint depth when its warm bytes stop paying.
-		wasteChunks, wasteBytes := s.HintWaste()
-		return call(&wire.Message{
-			Kind: wire.KindRequestJob, Max: s.cfg.JobsPerRequest,
-			Completed: completed, Resident: resident,
-			HintWasteChunks: wasteChunks, HintWasteBytes: wasteBytes,
-		})
-	}
-
-	// Hint warming runs beside compute: chunks the master expects to
-	// grant soon are fetched into the shared cache, each admission
-	// charged against the prefetch byte budget while its fetch is in
-	// flight (once cached, the cache's own cap bounds retention). A
-	// denied or failed hint degrades silently to an on-demand fetch.
-	var warmWG sync.WaitGroup
-	defer warmWG.Wait() // warming writes stats; finish before snapshot
-	warmHints := func(hints []wire.JobAssign) {
-		defer warmWG.Done()
-		for _, job := range hints {
-			s.noteChunk(job)
-			key := store.ChunkKey{Site: job.HomeSite, File: job.File, Off: job.Offset, Len: job.Length}
-			if !s.budget.tryAcquire(job.Length) {
-				stats.CountHint(false)
-				continue
-			}
-			job := job
-			_, release, _, err := s.cfg.Cache.GetOrFetch(key, func() ([]byte, error) {
-				return s.rawFetch(job, stats)
-			})
-			s.budget.release(job.Length)
-			if err != nil {
-				stats.CountHint(false)
-				continue
-			}
-			release()
-			stats.CountHint(true)
-			s.noteHintWarm(job.Chunk, job.Length)
-		}
-	}
-
-	// At most one grant is in flight on the prefetch goroutine; the
-	// foreground never touches the connection while one is out, which
-	// is the strict alternation that keeps the single master
-	// connection request/response clean.
-	nextCh := make(chan *grantResult, 1)
-	inflight := false
-	var cur *grantResult
-
-	releaseItems := func(items []*jobItem) {
-		for _, it := range items {
-			if it.budget > 0 {
-				s.budget.release(it.budget)
-				it.budget = 0
-			}
-			if it.release != nil {
-				it.release()
-				it.release, it.data = nil, nil
-			}
-		}
-	}
+// run is the grant loop. The first grant is always requested
+// synchronously; with Prefetch on, every later grant is requested —
+// and its chunks fetched — while the current one reduces.
+func (w *worker) run() (metrics.Snapshot, error) {
+	s := w.s
+	defer w.warmWG.Wait() // warming writes stats; finish before snapshot
 	defer func() {
 		// Error exits: wait out any in-flight prefetch and hand every
 		// unprocessed chunk's buffer (and budget bytes) back.
-		if inflight {
-			releaseItems((<-nextCh).items)
-		}
-		if cur != nil {
-			releaseItems(cur.items)
-		}
+		w.settle()
+		s.releaseItems(w.held)
 	}()
 
-	// prefetchGrant requests the next grant and retrieves its chunks
-	// ahead of compute, within the slave's byte budget. Denied items
-	// stay data-less and are fetched on demand at processing time.
-	prefetchGrant := func(completed []int32) {
-		g := &grantResult{}
-		g.resp, g.err = request(completed)
-		if g.err != nil {
-			g.err = fmt.Errorf("cluster: slave %s: request job: %w", s.cfg.Site, g.err)
-		} else if g.resp.Kind == wire.KindJobGrant {
-			g.items = makeItems(g.resp.Jobs)
-			for _, it := range g.items {
-				if !s.budget.tryAcquire(it.job.Length) {
-					stats.CountPrefetchSkip()
-					continue
-				}
-				f0 := s.cfg.Clock.Now()
-				data, release, err := s.fetchJob(it.job, stats)
-				if err != nil {
-					s.budget.release(it.job.Length)
-					g.err = fmt.Errorf("cluster: slave %s: prefetch job %d: %w",
-						s.cfg.Site, it.job.Chunk, err)
-					break
-				}
-				it.data, it.release = data, release
-				it.budget = it.job.Length
-				it.fetchEmu = s.cfg.Clock.ToEmu(s.cfg.Clock.Now().Sub(f0))
-			}
-		}
-		nextCh <- g
-	}
-
-	// receive waits for the in-flight grant and attributes the exposed
-	// wait: the part that overlaps background retrieval counts as
-	// retrieval (spread over the prefetched items in proportion to
-	// their fetch times), the remainder as sync. Whatever retrieval
-	// time compute hid is recorded as the prefetch's win.
-	receive := func() *grantResult {
-		w0 := s.cfg.Clock.Now()
-		g := <-nextCh
-		inflight = false
-		exposed := s.cfg.Clock.ToEmu(s.cfg.Clock.Now().Sub(w0))
-		var totalFetch time.Duration
-		for _, it := range g.items {
-			if it.data != nil {
-				totalFetch += it.fetchEmu
-			}
-		}
-		exposedFetch := exposed
-		if exposedFetch > totalFetch {
-			exposedFetch = totalFetch
-		}
-		stats.AddSync(exposed - exposedFetch)
-		if totalFetch > 0 {
-			for _, it := range g.items {
-				if it.data == nil {
-					continue
-				}
-				frac := float64(it.fetchEmu) / float64(totalFetch)
-				it.exposedEmu = time.Duration(frac * float64(exposedFetch))
-				it.savedEmu = it.fetchEmu - it.exposedEmu
-			}
-		}
-		return g
-	}
-
-	// preemptFlush runs the accelerated, deadline-bounded drain a spot
-	// warning triggers. Any in-flight prefetch is resolved first (its
-	// grant joins the unprocessed set — the connection must be quiet
-	// before we can announce). The announcement is a request: once its
-	// Ack lands the master has this connection marked draining, so no
-	// other worker can slip away with an end-of-run grant while our
-	// returns are still in flight. Then jobs are finished only while
-	// the remaining window comfortably fits them (twice the per-job
-	// EMA, leaving room for the flush itself); the rest are returned
-	// unprocessed with the partial reduction.
-	preemptFlush := func(unprocessed []*jobItem) (metrics.Snapshot, error) {
-		if inflight {
-			g := <-nextCh
-			inflight = false
-			if g.err != nil {
-				return zero, g.err
-			}
-			if g.resp.Kind == wire.KindJobGrant {
-				for _, j := range g.resp.Jobs {
-					s.markGranted(j.Chunk)
-				}
-				unprocessed = append(unprocessed, g.items...)
-			}
-		}
-		if _, err := call(&wire.Message{Kind: wire.KindPreemptWarn}); err != nil {
-			return zero, fmt.Errorf("cluster: slave %s: announce preempt drain: %w", s.cfg.Site, err)
-		}
-		deadline := s.preemptDeadline()
-		kept := 0
-		for _, it := range unprocessed {
-			remaining := deadline.Sub(s.cfg.Clock.Now())
-			if remaining <= 0 || (jobWallEMA > 0 && remaining < 2*jobWallEMA) {
-				break
-			}
-			j0 := s.cfg.Clock.Now()
-			if it.budget > 0 {
-				s.budget.release(it.budget)
-				it.budget = 0
-			}
-			if it.data != nil {
-				stats.AddRetrieval(it.exposedEmu, it.job.Length, it.job.Stolen)
-				stats.AddPrefetch(it.savedEmu)
-			}
-			err := s.processJob(engine, red, it, stats)
-			it.release, it.data = nil, nil
-			if err != nil {
-				return zero, err
-			}
-			pending = append(pending, it.job.Chunk)
-			covered = append(covered, it.job.Chunk)
-			noteJobWall(s.cfg.Clock.Now().Sub(j0))
-			kept++
-		}
-		abandoned := unprocessed[kept:]
-		returned := make([]int32, 0, len(abandoned))
-		for _, it := range abandoned {
-			returned = append(returned, it.job.Chunk)
-		}
-		if len(abandoned) > 0 {
-			stats.CountPreemptAbandon(len(abandoned))
-		}
-		releaseItems(abandoned)
-		cur = nil
-		warmWG.Wait()
-		stats.CountPreemptDrain()
-		// Returned is non-nil even when empty: that is what marks this
-		// result as a drain flush rather than a normal end-of-run one.
-		snap, err := shipResult(returned)
-		if err != nil {
-			return zero, fmt.Errorf("cluster: slave %s: ship preempt drain result: %w", s.cfg.Site, err)
-		}
-		s.flushes.Add(1)
-		s.cfg.Logf("slave %s[%d]: preempt drain flushed (%d done, %d returned, %d abandoned)",
-			s.cfg.Site, idx, len(pending), len(returned), len(abandoned))
-		return snap, nil
-	}
-
-	// The first grant is always requested synchronously; with Prefetch
-	// on, every later grant is requested — and its chunks fetched —
-	// while the current one reduces.
-	waitStart := s.cfg.Clock.Now()
-	resp, err := request(nil)
-	stats.AddSync(s.cfg.Clock.ToEmu(s.cfg.Clock.Now().Sub(waitStart)))
+	cur, err := w.requestNow()
 	if err != nil {
-		return zero, fmt.Errorf("cluster: slave %s: request job: %w", s.cfg.Site, err)
+		return metrics.Snapshot{}, err
 	}
-	cur = &grantResult{resp: resp, items: makeItems(resp.Jobs)}
-
 	for {
 		if cur.err != nil {
-			return zero, cur.err
+			return metrics.Snapshot{}, cur.err
 		}
 		if cur.resp.Kind != wire.KindJobGrant {
-			return zero, fmt.Errorf("cluster: slave %s: unexpected %v", s.cfg.Site, cur.resp.Kind)
+			return metrics.Snapshot{}, fmt.Errorf("cluster: slave %s: unexpected %v", s.cfg.Site, cur.resp.Kind)
 		}
 		for _, j := range cur.resp.Jobs {
 			s.markGranted(j.Chunk)
 		}
 		if cur.resp.Drain {
-			drainReq.Store(true)
+			w.drainReq.Store(true)
 		}
-		if drainReq.Load() {
-			// Retire: this grant's prefetched-but-unprocessed jobs go
-			// back to the master, while everything already reduced is
-			// flushed upstream as a partial result so no chunk is lost
-			// or reduced twice. (No prefetch is in flight at the top of
-			// the loop, so the connection is ours to use.)
-			returned := make([]int32, 0, len(cur.items))
-			for _, it := range cur.items {
-				returned = append(returned, it.job.Chunk)
-			}
-			releaseItems(cur.items)
-			cur = nil
-			warmWG.Wait()
-			snap, err := shipResult(returned)
+		if w.drainReq.Load() {
+			// This grant's jobs go back unprocessed. (No prefetch is in
+			// flight at the top of the loop: the connection is ours.)
+			snap, err := w.retire(cur.items)
 			if err != nil {
-				return zero, fmt.Errorf("cluster: slave %s: ship drain result: %w", s.cfg.Site, err)
+				return metrics.Snapshot{}, fmt.Errorf("cluster: slave %s: ship drain result: %w", s.cfg.Site, err)
 			}
 			s.cfg.Logf("slave %s[%d]: drained (%d completed, %d returned)",
-				s.cfg.Site, idx, len(pending), len(returned))
+				s.cfg.Site, w.idx, len(w.pending), len(cur.items))
 			return snap, nil
 		}
 		done := cur.resp.Done && len(cur.resp.Jobs) == 0
 		if len(cur.resp.Hints) > 0 && s.cfg.Prefetch && s.cfg.Cache.Enabled() {
-			warmWG.Add(1)
-			go warmHints(cur.resp.Hints)
+			w.warmWG.Add(1)
+			go w.warmHints(cur.resp.Hints)
 		}
 		if !done && s.cfg.Prefetch {
 			// Snapshot the completions now: the request they ride on
 			// goes out concurrently with this grant's compute. Jobs of
 			// the current grant are reported once they finish, on the
 			// next request (or the final result message).
-			carry := pending
-			pending = nil
-			inflight = true
-			go prefetchGrant(carry)
+			carry := w.pending
+			w.pending = nil
+			w.inflight = true
+			go w.prefetch(carry)
 		}
 		for i, it := range cur.items {
 			if s.warned.Load() {
 				// Revocation warning: switch to the accelerated drain for
 				// this grant's remainder (plus any in-flight prefetch).
-				return preemptFlush(cur.items[i:])
+				return w.preemptFlush(cur.items[i:])
 			}
-			if it.budget > 0 {
-				// Handing the bytes to compute frees their budget: they
-				// are no longer "in flight ahead of the core".
-				s.budget.release(it.budget)
-				it.budget = 0
+			if err := w.reduce(it); err != nil {
+				return metrics.Snapshot{}, err
 			}
-			if it.data != nil {
-				stats.AddRetrieval(it.exposedEmu, it.job.Length, it.job.Stolen)
-				stats.AddPrefetch(it.savedEmu)
-			}
-			j0 := s.cfg.Clock.Now()
-			err := s.processJob(engine, red, it, stats)
-			it.release, it.data = nil, nil
-			if err != nil {
-				return zero, err
-			}
-			noteJobWall(s.cfg.Clock.Now().Sub(j0))
-			pending = append(pending, it.job.Chunk)
-			covered = append(covered, it.job.Chunk)
-			if s.cfg.CheckpointJobs > 0 {
-				if sinceCkpt++; sinceCkpt >= s.cfg.CheckpointJobs {
-					sinceCkpt = 0
-					checkpoint()
-				}
+			if n := s.cfg.CheckpointJobs; n > 0 && len(w.covered)%n == 0 {
+				w.checkpoint() // every n reduced jobs
 			}
 		}
 		if done {
 			break
 		}
 		if s.cfg.Prefetch {
-			cur = receive()
-		} else {
-			waitStart := s.cfg.Clock.Now()
-			resp, err := request(pending)
-			stats.AddSync(s.cfg.Clock.ToEmu(s.cfg.Clock.Now().Sub(waitStart)))
-			if err != nil {
-				return zero, fmt.Errorf("cluster: slave %s: request job: %w", s.cfg.Site, err)
-			}
-			pending = nil
-			cur = &grantResult{resp: resp, items: makeItems(resp.Jobs)}
+			cur = w.receive()
+		} else if cur, err = w.requestNow(); err != nil {
+			return metrics.Snapshot{}, err
 		}
 	}
 
-	warmWG.Wait() // hint warmers write stats; their counters ship too
-	snap, err := shipResult(nil)
+	w.warmWG.Wait() // hint warmers write stats; their counters ship too
+	snap, err := w.shipResult(nil)
 	if err != nil {
-		return zero, fmt.Errorf("cluster: slave %s: ship result: %w", s.cfg.Site, err)
+		return metrics.Snapshot{}, fmt.Errorf("cluster: slave %s: ship result: %w", s.cfg.Site, err)
 	}
 	return snap, nil
 }
 
-// processJob reduces one job, first retrieving its chunk unless a
-// prefetch already delivered it.
-func (s *Slave) processJob(engine *gr.Engine, red gr.Reduction, it *jobItem, stats *metrics.Breakdown) error {
-	data, release := it.data, it.release
-	if data == nil {
-		retrStart := s.cfg.Clock.Now()
-		var err error
-		data, release, err = s.fetchJob(it.job, stats)
+// call sends m and returns the master's answer, latching any KindDrain
+// push that arrives ahead of it.
+func (w *worker) call(m *wire.Message) (*wire.Message, error) {
+	if err := w.conn.Send(m); err != nil {
+		return nil, err
+	}
+	for {
+		resp, err := w.conn.Recv()
 		if err != nil {
+			return nil, err
+		}
+		switch resp.Kind {
+		case wire.KindDrain:
+			w.drainReq.Store(true)
+			continue
+		case wire.KindError:
+			return nil, &wire.RemoteError{Msg: resp.Err}
+		}
+		return resp, nil
+	}
+}
+
+// request asks the master for the next grant, reporting completed jobs
+// and piggybacking cache residency and hint waste.
+func (w *worker) request(completed []int32) (*wire.Message, error) {
+	s := w.s
+	// A nil Resident means "no report" (cache disabled); with the
+	// cache enabled the report is always non-nil — even empty — so a
+	// drained cache clears the master's stale warm set.
+	var resident []int32
+	if s.cfg.Cache.Enabled() {
+		if resident = s.residentIDs(); resident == nil {
+			resident = []int32{}
+		}
+	}
+	// Piggyback the hint-waste ledger so the master can trim this
+	// slave's effective hint depth when its warm bytes stop paying.
+	wasteChunks, wasteBytes := s.HintWaste()
+	return w.call(&wire.Message{
+		Kind: wire.KindRequestJob, Max: s.cfg.JobsPerRequest,
+		Completed: completed, Resident: resident,
+		HintWasteChunks: wasteChunks, HintWasteBytes: wasteBytes,
+	})
+}
+
+// requestNow requests the next grant in the foreground, reporting the
+// pending completions, and charges the wait to sync.
+func (w *worker) requestNow() (*grantResult, error) {
+	clk := w.s.cfg.Clock
+	t0 := clk.Now()
+	resp, err := w.request(w.pending)
+	w.stats.AddSync(clk.ToEmu(clk.Now().Sub(t0)))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: slave %s: request job: %w", w.s.cfg.Site, err)
+	}
+	w.pending = nil
+	g := &grantResult{resp: resp, items: makeItems(resp.Jobs)}
+	w.held = g.items
+	return g, nil
+}
+
+// prefetch runs on its own goroutine: it requests the next grant and
+// retrieves its chunks ahead of compute, within the slave's byte
+// budget. Denied items stay data-less and are fetched on demand by
+// reduce.
+func (w *worker) prefetch(completed []int32) {
+	s := w.s
+	g := &grantResult{}
+	g.resp, g.err = w.request(completed)
+	if g.err != nil {
+		g.err = fmt.Errorf("cluster: slave %s: request job: %w", s.cfg.Site, g.err)
+	} else if g.resp.Kind == wire.KindJobGrant {
+		g.items = makeItems(g.resp.Jobs)
+		for _, it := range g.items {
+			if !s.budget.tryAcquire(it.job.Length) {
+				w.stats.CountPrefetchSkip()
+				continue
+			}
+			f0 := s.cfg.Clock.Now()
+			data, release, err := s.fetchJob(it.job, w.stats)
+			if err != nil {
+				s.budget.release(it.job.Length)
+				g.err = fmt.Errorf("cluster: slave %s: prefetch job %d: %w",
+					s.cfg.Site, it.job.Chunk, err)
+				break
+			}
+			it.data, it.release = data, release
+			it.budget = it.job.Length
+			it.fetchEmu = s.cfg.Clock.ToEmu(s.cfg.Clock.Now().Sub(f0))
+		}
+	}
+	w.nextCh <- g
+}
+
+// settle waits out the in-flight prefetch, if any (else it returns
+// nil), and adds its grant's items to what the worker holds.
+func (w *worker) settle() *grantResult {
+	if !w.inflight {
+		return nil
+	}
+	g := <-w.nextCh
+	w.inflight = false
+	w.held = append(w.held, g.items...)
+	return g
+}
+
+// receive waits for the in-flight grant and attributes the exposed
+// wait: the part that overlaps background retrieval counts as
+// retrieval (spread over the prefetched items in proportion to their
+// fetch times), the remainder as sync. Whatever retrieval time compute
+// hid is recorded as the prefetch's win.
+func (w *worker) receive() *grantResult {
+	clk := w.s.cfg.Clock
+	w.held = nil // every item of the finished grant is reduced
+	w0 := clk.Now()
+	g := w.settle()
+	exposed := clk.ToEmu(clk.Now().Sub(w0))
+	var totalFetch time.Duration
+	for _, it := range g.items {
+		if it.data != nil {
+			totalFetch += it.fetchEmu
+		}
+	}
+	exposedFetch := min(exposed, totalFetch)
+	w.stats.AddSync(exposed - exposedFetch)
+	if totalFetch > 0 {
+		for _, it := range g.items {
+			if it.data == nil {
+				continue
+			}
+			frac := float64(it.fetchEmu) / float64(totalFetch)
+			it.exposedEmu = time.Duration(frac * float64(exposedFetch))
+			it.savedEmu = it.fetchEmu - it.exposedEmu
+		}
+	}
+	return g
+}
+
+// reduce takes one granted job to reduced: it frees the job's prefetch
+// budget (bytes handed to compute are no longer in flight ahead of the
+// core), attributes its retrieval — the exposed share of a prefetch,
+// or an on-demand fetch timed here — folds the chunk into the worker's
+// reduction object, and records the job as pending and covered.
+func (w *worker) reduce(it *jobItem) error {
+	s, stats := w.s, w.stats
+	if it.budget > 0 {
+		s.budget.release(it.budget)
+		it.budget = 0
+	}
+	j0 := s.cfg.Clock.Now()
+	data, release := it.data, it.release
+	it.data, it.release = nil, nil
+	if data != nil {
+		stats.AddRetrieval(it.exposedEmu, it.job.Length, it.job.Stolen)
+		stats.AddPrefetch(it.savedEmu)
+	} else {
+		var err error
+		if data, release, err = s.fetchJob(it.job, stats); err != nil {
 			return fmt.Errorf("cluster: slave %s: retrieve job %d: %w", s.cfg.Site, it.job.Chunk, err)
 		}
-		stats.AddRetrieval(s.cfg.Clock.ToEmu(s.cfg.Clock.Now().Sub(retrStart)), it.job.Length, it.job.Stolen)
+		stats.AddRetrieval(s.cfg.Clock.ToEmu(s.cfg.Clock.Now().Sub(j0)), it.job.Length, it.job.Stolen)
 	}
-	defer release()
-	units, err := engine.ProcessChunk(red, data)
+	units, err := w.engine.ProcessChunk(w.red, data)
+	release()
 	if err != nil {
 		return err
 	}
 	stats.CountJob(it.job.Stolen, int64(units))
+	if d := s.cfg.Clock.Now().Sub(j0); w.jobWallEMA == 0 {
+		w.jobWallEMA = d
+	} else {
+		w.jobWallEMA = (w.jobWallEMA + d) / 2
+	}
+	w.pending = append(w.pending, it.job.Chunk)
+	w.covered = append(w.covered, it.job.Chunk)
 	return nil
+}
+
+// warmHints runs beside compute: chunks the master expects to grant
+// soon are fetched into the shared cache, each admission charged
+// against the prefetch byte budget while its fetch is in flight (once
+// cached, the cache's own cap bounds retention). A denied or failed
+// hint degrades silently to an on-demand fetch.
+func (w *worker) warmHints(hints []wire.JobAssign) {
+	defer w.warmWG.Done()
+	s := w.s
+	for _, job := range hints {
+		s.noteChunk(job)
+		key := store.ChunkKey{Site: job.HomeSite, File: job.File, Off: job.Offset, Len: job.Length}
+		if !s.budget.tryAcquire(job.Length) {
+			w.stats.CountHint(false)
+			continue
+		}
+		_, release, _, err := s.cfg.Cache.GetOrFetch(key, func() ([]byte, error) {
+			return s.rawFetch(job, w.stats)
+		})
+		s.budget.release(job.Length)
+		if err != nil {
+			w.stats.CountHint(false)
+			continue
+		}
+		release()
+		w.stats.CountHint(true)
+		s.noteHintWarm(job.Chunk, job.Length)
+	}
+}
+
+// checkpoint ships the current partial reduction as a one-way,
+// sequence-numbered push. Failure is harmless — the master just keeps
+// the previous checkpoint — so errors are swallowed; a dead connection
+// surfaces at the next request anyway.
+//
+// Cadence guard: the encoded object is hashed, and a checkpoint
+// byte-identical to the previous one is skipped — the master's copy is
+// already current, so re-shipping it buys nothing. (The skipped push's
+// extra covered chunks are safe to omit: re-executing a chunk that
+// contributed nothing reproduces the same reduction.)
+func (w *worker) checkpoint() {
+	s := w.s
+	enc, release, err := gr.EncodeReductionTo(w.red, s.cfg.Pool)
+	if err != nil {
+		return
+	}
+	defer release()
+	h := hashBytes(enc)
+	if w.ckptSeq > 0 && len(enc) == w.lastCkptLen && h == w.lastCkptHash {
+		w.stats.CountCheckpointSkip()
+		return
+	}
+	w.lastCkptHash, w.lastCkptLen = h, len(enc)
+	w.stats.CountCheckpoint()
+	w.ckptSeq++
+	msg := &wire.Message{
+		Kind: wire.KindCheckpoint, Seq: w.ckptSeq,
+		Completed: append([]int32(nil), w.covered...),
+	}
+	if s.plan.streamed {
+		ow := wire.NewObjectWriter(w.conn, s.partSize())
+		if _, err := ow.Write(enc); err != nil {
+			return
+		}
+		if err := ow.Close(); err != nil {
+			return
+		}
+		w.stats.AddObjectStream(ow.Frames(), ow.Bytes(), int64(w.red.Bytes()))
+	} else {
+		msg.Object = enc
+	}
+	msg.Stats = wire.Stats{Breakdown: w.stats.Snapshot()}
+	_ = w.conn.Send(msg)
+}
+
+// shipResult encodes and ships this worker's reduction as its
+// KindSlaveResult (a non-nil Returned marks a drain flush). Under a
+// streamed plan the object encodes straight into bounded part frames —
+// the full encoded object is never materialized — and the terminal
+// message carries no Object. Returns the snapshot shipped.
+func (w *worker) shipResult(returned []int32) (metrics.Snapshot, error) {
+	msg := &wire.Message{Kind: wire.KindSlaveResult, Completed: w.pending, Returned: returned}
+	if w.s.plan.streamed {
+		ow := wire.NewObjectWriter(w.conn, w.s.partSize())
+		if err := w.red.Encode(ow); err != nil {
+			return metrics.Snapshot{}, err
+		}
+		if err := ow.Close(); err != nil {
+			return metrics.Snapshot{}, err
+		}
+		w.stats.AddObjectStream(ow.Frames(), ow.Bytes(), int64(w.red.Bytes()))
+	} else {
+		enc, err := gr.EncodeReduction(w.red)
+		if err != nil {
+			return metrics.Snapshot{}, err
+		}
+		msg.Object = enc
+	}
+	snap := w.stats.Snapshot()
+	msg.Stats = wire.Stats{Breakdown: snap}
+	if _, err := w.call(msg); err != nil {
+		return metrics.Snapshot{}, err
+	}
+	return snap, nil
+}
+
+// retire is the worker's only early exit: items go back to the master
+// unprocessed and release their bytes, and everything already reduced
+// ships as a partial result, so no chunk is lost or reduced twice. The
+// non-nil (even if empty) Returned marks the result as a drain flush.
+func (w *worker) retire(items []*jobItem) (metrics.Snapshot, error) {
+	returned := make([]int32, 0, len(items))
+	for _, it := range items {
+		returned = append(returned, it.job.Chunk)
+	}
+	w.s.releaseItems(items)
+	w.warmWG.Wait()
+	return w.shipResult(returned)
+}
+
+// preemptFlush runs the accelerated, deadline-bounded drain a spot
+// warning triggers. Any in-flight prefetch is settled first (its grant
+// joins the unprocessed set — the connection must be quiet before we
+// can announce). The announcement is a request: once its Ack lands the
+// master has this connection marked draining, so no other worker can
+// slip away with an end-of-run grant while our returns are still in
+// flight. Then jobs are finished only while the remaining window
+// comfortably fits them (twice the per-job EMA, leaving room for the
+// flush itself); the rest are retired with the partial reduction.
+func (w *worker) preemptFlush(unprocessed []*jobItem) (metrics.Snapshot, error) {
+	s := w.s
+	w.held = unprocessed // the items before these are reduced already
+	if g := w.settle(); g != nil {
+		if g.err != nil {
+			return metrics.Snapshot{}, g.err
+		}
+		if g.resp.Kind == wire.KindJobGrant {
+			for _, j := range g.resp.Jobs {
+				s.markGranted(j.Chunk)
+			}
+		}
+	}
+	unprocessed = w.held
+	if _, err := w.call(&wire.Message{Kind: wire.KindPreemptWarn}); err != nil {
+		return metrics.Snapshot{}, fmt.Errorf("cluster: slave %s: announce preempt drain: %w", s.cfg.Site, err)
+	}
+	deadline := s.preemptDeadline()
+	kept := 0
+	for _, it := range unprocessed {
+		remaining := deadline.Sub(s.cfg.Clock.Now())
+		if remaining <= 0 || (w.jobWallEMA > 0 && remaining < 2*w.jobWallEMA) {
+			break
+		}
+		if err := w.reduce(it); err != nil {
+			return metrics.Snapshot{}, err
+		}
+		kept++
+	}
+	abandoned := unprocessed[kept:]
+	if len(abandoned) > 0 {
+		w.stats.CountPreemptAbandon(len(abandoned))
+	}
+	w.stats.CountPreemptDrain()
+	snap, err := w.retire(abandoned)
+	if err != nil {
+		return metrics.Snapshot{}, fmt.Errorf("cluster: slave %s: ship preempt drain result: %w", s.cfg.Site, err)
+	}
+	s.flushes.Add(1)
+	s.cfg.Logf("slave %s[%d]: preempt drain flushed (%d done, %d returned, %d abandoned)",
+		s.cfg.Site, w.idx, len(w.pending), len(abandoned), len(abandoned))
+	return snap, nil
+}
+
+// releaseItems hands back the budget bytes and buffers items still
+// hold. Each is given back once, so a repeat call is a no-op.
+func (s *Slave) releaseItems(items []*jobItem) {
+	for _, it := range items {
+		if it.budget > 0 {
+			s.budget.release(it.budget)
+			it.budget = 0
+		}
+		if it.release != nil {
+			it.release()
+			it.release, it.data = nil, nil
+		}
+	}
 }
 
 // fetchJob resolves one job's chunk bytes through the slave's chunk

@@ -2,7 +2,8 @@
 # Full verification, a superset of the tier-1 gate in ROADMAP.md:
 #   - build, vet and every test, plus the benchmark module's smoke test;
 #   - race passes over every concurrency-heavy package, then twice over
-#     the membership, sync, copy-free chunk-reply and fetch/span tests;
+#     the membership, sync, prefetch-pipeline, copy-free chunk-reply and
+#     fetch/span tests;
 #   - 5 s fuzz runs of the wire decoder, the direct-read path and the
 #     Counter/Concat combiner decoders;
 #   - smoke runs (heavily shrunk, digest-checked) of the overlap,
@@ -28,12 +29,14 @@ go test -race ./internal/cluster/ ./internal/store/ ./internal/chunk/ ./internal
 # concurrent merges fed from connection handlers, and the exchange a
 # head-side sender and a master-side reader per head connection: run
 # them twice under the race detector so a lucky interleaving can't
-# hide a regression. The copy-free chunk-reply path (vectored write,
-# direct read, lent views) shares one connection between a replying
-# handler, heartbeats and an object swap, so its tests ride along, as
-# do store.Fetch's span planner and its reader pool (tuner growth and
+# hide a regression. The prefetch goroutine is a worker's only
+# concurrent state, so the prefetch and byte-budget tests ride along
+# too. The copy-free chunk-reply path (vectored write, direct read,
+# lent views) shares one connection between a replying handler,
+# heartbeats and an object swap, so its tests ride along, as do
+# store.Fetch's span planner and its reader pool (tuner growth and
 # retirement, lowest-offset failure bookkeeping).
-go test -race -count=2 -run 'Join|Drain|Elastic|Spot|Preempt|Checkpoint|Revocation|Buffer|Merge|Sync|Exchange|HeadReader|BlockPath' ./internal/cluster/ ./internal/gr/
+go test -race -count=2 -run 'Join|Drain|Elastic|Spot|Preempt|Checkpoint|Revocation|Buffer|Prefetch|Budget|Merge|Sync|Exchange|HeadReader|BlockPath' ./internal/cluster/ ./internal/gr/
 go test -race -count=2 -run 'Vectored|OneWritePerSend|RecvInto|DirectRead|BadReplies|Overlong|LentView|BlockKernel|Plan|Span|Fetch' ./internal/wire/ ./internal/store/ ./internal/apps/
 # The wire codec owns every byte on every connection: fuzz the decoder
 # and the direct-read path briefly (corrupt frames must error, never
