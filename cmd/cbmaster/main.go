@@ -62,8 +62,9 @@ func main() {
 	}
 	masterCfg := cluster.MasterConfig{
 		Site: *site, App: app, Cores: *cores, Slaves: *slaves, Batch: *batch,
-		HintDepth: *hints,
-		Clock: netsim.Real(), Logf: logf,
+		HintDepth:         *hints,
+		Clock:             netsim.Real(),
+		Logf:              logf,
 		HeartbeatInterval: *beat,
 		StageBudget:       *stageMB << 20,
 		SyncMode:          *syncMode,

@@ -105,7 +105,7 @@ type Head struct {
 	sendsDone   int
 	broadcastT  time.Time // when the last master acked the final
 	mergeEmu    time.Duration
-	faults      metrics.Breakdown // head-side stall detections
+	faults      metrics.Breakdown // the head's own stall detections, object streams and merges
 
 	// mergeReady is closed when the global reduction has produced the
 	// final object (or failed); handlers then deliver it.
@@ -736,8 +736,14 @@ func (h *Head) publish() {
 		GlobalRed: h.mergeEmu + h.cfg.Clock.ToEmu(h.broadcastT.Sub(h.lastArrival)),
 		TotalWall: h.cfg.Clock.ToEmu(h.broadcastT.Sub(h.started)),
 	}
+	// One run-wide sum feeds every counter section: the head's own
+	// stall detections, object streams and merges, plus every surviving
+	// cluster's snapshot. Senders alone count streamed bytes, so each
+	// object is counted exactly once per hop.
+	agg := h.faults.Snapshot()
 	for site, t := range h.arrivals {
 		st := h.stats[site]
+		agg = agg.Add(st.Breakdown)
 		wall := time.Duration(st.WallEmu)
 		report.Clusters = append(report.Clusters, metrics.ClusterReport{
 			Site:      site,
@@ -748,40 +754,30 @@ func (h *Head) publish() {
 			// its registration-to-arrival span is the result's transfer.
 			ResultShip: max(0, h.cfg.Clock.ToEmu(t.Sub(h.joined[site]))-wall),
 		})
-		report.Faults.Retries += st.Breakdown.Retries
-		report.Faults.BackoffEmu += st.Breakdown.BackoffEmu
-		report.Faults.HeartbeatMisses += st.Breakdown.HeartbeatMisses
-		report.Retrieval.AddSnapshot(st.Breakdown)
 	}
-	// The head's own stall detections (masters that went silent) are not
-	// inside any surviving cluster's stats.
-	report.Faults.HeartbeatMisses += h.faults.Snapshot().HeartbeatMisses
+	report.Faults = metrics.FaultReport{
+		Retries:         agg.Retries,
+		BackoffEmu:      agg.BackoffEmu,
+		HeartbeatMisses: agg.HeartbeatMisses,
+	}
+	report.Retrieval.Snapshot = agg
 	// Steal residency outcomes live in the head's pool, not in any
 	// worker snapshot.
 	report.Retrieval.StealsCold, report.Retrieval.StealsWarm = h.pool.StealStats()
-	// Preemption machinery counters aggregate from the surviving
-	// clusters' snapshots; the trace-side tallies (revocations, drain
-	// outcomes) are filled in by the deployment harness, which owns the
+	// The trace-side preemption tallies (revocations, drain outcomes)
+	// are filled in by the deployment harness, which owns the
 	// revocation schedule.
-	var pre metrics.PreemptionReport
-	for _, st := range h.stats {
-		pre.PreemptWarns += st.Breakdown.PreemptWarns
-		pre.CheckpointsSent += st.Breakdown.Checkpoints
-		pre.CheckpointsAdopted += st.Breakdown.CheckpointsAdopted
-		pre.JobsRecovered += st.Breakdown.JobsRecovered
-		pre.JobsAbandoned += st.Breakdown.JobsAbandoned
-		pre.JobsRequeued += st.Breakdown.JobsRequeued
-		pre.CheckpointSkips += st.Breakdown.CheckpointSkips
+	pre := metrics.PreemptionReport{
+		PreemptWarns:       agg.PreemptWarns,
+		CheckpointsSent:    agg.Checkpoints,
+		CheckpointsAdopted: agg.CheckpointsAdopted,
+		JobsRecovered:      agg.JobsRecovered,
+		JobsAbandoned:      agg.JobsAbandoned,
+		JobsRequeued:       agg.JobsRequeued,
+		CheckpointSkips:    agg.CheckpointSkips,
 	}
 	if pre.Any() {
 		report.Preemption = &pre
-	}
-	// Sync accounting: fold the head's own stream/merge counters with
-	// every surviving cluster's snapshot. Senders alone count streamed
-	// bytes, so the sum is each object counted exactly once per hop.
-	agg := h.faults.Snapshot()
-	for _, st := range h.stats {
-		agg = agg.Add(st.Breakdown)
 	}
 	sync := &metrics.SyncReport{
 		Mode:            h.plan.name,
@@ -814,11 +810,7 @@ func (h *Head) publish() {
 	if h.cfg.Elastic != nil {
 		// Egress under the cost model is every byte retrieved across
 		// sites (stolen-chunk reads), summed over all workers.
-		var egress int64
-		for _, st := range h.stats {
-			egress += st.Breakdown.BytesRemote
-		}
-		report.Elastic = h.cfg.Elastic.Report(report.TotalWall, egress)
+		report.Elastic = h.cfg.Elastic.Report(report.TotalWall, agg.BytesRemote)
 	}
 	err := h.runErr
 	if err == nil && !h.pool.Done() {

@@ -8,6 +8,7 @@ package metrics
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,463 +31,264 @@ func CountHeartbeatSenderStop() { heartbeatSenderStops.Add(1) }
 func HeartbeatSenderStops() int64 { return heartbeatSenderStops.Load() }
 
 // Breakdown accumulates the per-worker timing decomposition used in
-// Figures 3 and 4. All durations are in emulated time. Breakdown is
-// safe for concurrent use.
+// Figures 3 and 4: a Snapshot behind a mutex, which every Count*/Add*
+// method bumps in place. All durations are in emulated time. Breakdown
+// is safe for concurrent use.
 type Breakdown struct {
 	mu sync.Mutex
+	s  Snapshot
+}
 
-	processing time.Duration // local reduction compute
-	retrieval  time.Duration // reading chunk data (local disk or remote store)
-	sync       time.Duration // waiting at barriers / for job responses at drain
-
-	jobsProcessed int // chunks fully reduced by this worker/cluster
-	jobsStolen    int // chunks whose data lived at another site
-	unitsReduced  int64
-	bytesRead     int64
-	bytesRemote   int64
-
-	retries         int           // retried store/wire requests
-	backoff         time.Duration // emulated time spent backing off
-	heartbeatMisses int           // peers declared stalled via heartbeat
-
-	cacheHits     int           // chunk retrievals served from the cache
-	cacheMisses   int           // chunk retrievals that went to the store
-	cacheBytes    int64         // bytes served from cache instead of refetched
-	prefetched    int           // jobs whose chunk arrived via prefetch
-	prefetchSaved time.Duration // retrieval time hidden behind compute
-	prefetchSkips int           // prefetches skipped (byte budget exhausted)
-	poolGets      int64         // fetch buffers handed out by the pool
-	poolMisses    int64         // pool gets that had to allocate
-
-	autotuneSamples int // fetches observed by an AIMD fetch autotuner
-	autotuneRaises  int // autotuner additive thread-count increases
-	autotuneDrops   int // autotuner multiplicative back-offs
-
-	hintsReceived int // prefetch-hint jobs received from the master
-	hintsWarmed   int // hint chunks fetched into the cache ahead of a grant
-	hintsDenied   int // hints skipped (byte budget exhausted)
-	hintTrims     int // master cuts to a slave's effective hint depth
-
-	checkpoints        int // partial-reduction checkpoints shipped to the master
-	checkpointsAdopted int // checkpoints merged after an unwarned slave loss
-	jobsRecovered      int // jobs a checkpoint adoption saved from re-execution
-	jobsRequeued       int // granted jobs requeued after a slave loss
-	jobsAbandoned      int // in-flight jobs abandoned by a preemption drain
-	preemptWarns       int // revocation warnings received / observed
-	preemptDrains      int // accelerated drains that flushed before the kill
-
-	bufferHits   int   // chunk reads the site buffer served from residency
-	bufferMisses int   // buffer reads that paid a backing fetch
-	bufferBytes  int64 // bytes read through the site buffer tier
-	stagedBytes  int64 // bytes staged into the site buffer ahead of demand
-
-	objectParts     int           // streamed reduction-object frames shipped/received
-	objectBytes     int64         // actual encoded object bytes streamed
-	objectEstBytes  int64         // Reduction.Bytes() estimates for the same objects
-	checkpointSkips int           // checkpoint pushes skipped (object unchanged)
-	merges          int           // reduction merge operations performed
-	mergeBusy       time.Duration // summed merge spans (emu; overlapping under parallel)
-	mergeTail       time.Duration // merge time left exposed after the last arrival (emu)
-	mergeMaxPar     int           // peak concurrent merge workers
+// do applies f to the totals under the lock.
+func (b *Breakdown) do(f func(*Snapshot)) {
+	b.mu.Lock()
+	f(&b.s)
+	b.mu.Unlock()
 }
 
 // AddProcessing records emulated compute time.
-func (b *Breakdown) AddProcessing(d time.Duration) {
-	b.mu.Lock()
-	b.processing += d
-	b.mu.Unlock()
-}
+func (b *Breakdown) AddProcessing(d time.Duration) { b.do(func(s *Snapshot) { s.Processing += d }) }
 
 // AddRetrieval records emulated data-retrieval time, along with the
 // bytes read and whether they came from a remote site.
 func (b *Breakdown) AddRetrieval(d time.Duration, bytes int64, remote bool) {
-	b.mu.Lock()
-	b.retrieval += d
-	b.bytesRead += bytes
-	if remote {
-		b.bytesRemote += bytes
-	}
-	b.mu.Unlock()
+	b.do(func(s *Snapshot) {
+		s.Retrieval += d
+		s.BytesRead += bytes
+		if remote {
+			s.BytesRemote += bytes
+		}
+	})
 }
 
 // AddSync records emulated barrier/wait time.
-func (b *Breakdown) AddSync(d time.Duration) {
-	b.mu.Lock()
-	b.sync += d
-	b.mu.Unlock()
-}
+func (b *Breakdown) AddSync(d time.Duration) { b.do(func(s *Snapshot) { s.Sync += d }) }
 
 // AddRetry records one retried request and the emulated backoff spent
 // before the retry.
 func (b *Breakdown) AddRetry(backoff time.Duration) {
-	b.mu.Lock()
-	b.retries++
-	b.backoff += backoff
-	b.mu.Unlock()
+	b.do(func(s *Snapshot) {
+		s.Retries++
+		s.BackoffEmu += backoff
+	})
 }
 
 // CountHeartbeatMiss records a peer declared stalled after missing its
 // heartbeat deadline.
-func (b *Breakdown) CountHeartbeatMiss() {
-	b.mu.Lock()
-	b.heartbeatMisses++
-	b.mu.Unlock()
-}
+func (b *Breakdown) CountHeartbeatMiss() { b.do(func(s *Snapshot) { s.HeartbeatMisses++ }) }
 
 // CountCache records one chunk retrieval's cache outcome; bytes is
 // the chunk size served from cache on a hit.
 func (b *Breakdown) CountCache(hit bool, bytes int64) {
-	b.mu.Lock()
-	if hit {
-		b.cacheHits++
-		b.cacheBytes += bytes
-	} else {
-		b.cacheMisses++
-	}
-	b.mu.Unlock()
+	b.do(func(s *Snapshot) {
+		if hit {
+			s.CacheHits++
+			s.CacheBytesSaved += bytes
+		} else {
+			s.CacheMisses++
+		}
+	})
 }
 
 // AddPrefetch records one job whose chunk data was prefetched while a
 // previous job computed; saved is the retrieval time the overlap hid
 // from the critical path.
 func (b *Breakdown) AddPrefetch(saved time.Duration) {
-	b.mu.Lock()
-	b.prefetched++
-	b.prefetchSaved += saved
-	b.mu.Unlock()
+	b.do(func(s *Snapshot) {
+		s.PrefetchedJobs++
+		s.PrefetchSavedEmu += saved
+	})
 }
 
 // CountPrefetchSkip records a prefetch forgone because the slave's
 // in-flight byte budget was exhausted.
-func (b *Breakdown) CountPrefetchSkip() {
-	b.mu.Lock()
-	b.prefetchSkips++
-	b.mu.Unlock()
-}
+func (b *Breakdown) CountPrefetchSkip() { b.do(func(s *Snapshot) { s.PrefetchSkips++ }) }
 
 // CountAutotune records one fetch observed by an AIMD autotuner and
 // the controller decision it closed: dec > 0 is an additive increase,
 // dec < 0 a multiplicative back-off, 0 no epoch boundary.
 func (b *Breakdown) CountAutotune(dec int) {
-	b.mu.Lock()
-	b.autotuneSamples++
-	if dec > 0 {
-		b.autotuneRaises++
-	} else if dec < 0 {
-		b.autotuneDrops++
-	}
-	b.mu.Unlock()
+	b.do(func(s *Snapshot) {
+		s.AutotuneSamples++
+		if dec > 0 {
+			s.AutotuneRaises++
+		} else if dec < 0 {
+			s.AutotuneDrops++
+		}
+	})
 }
 
 // CountHint records one prefetch-hint job received from the master and
 // its outcome: warmed into the cache, or denied by the byte budget.
 func (b *Breakdown) CountHint(warmed bool) {
-	b.mu.Lock()
-	b.hintsReceived++
-	if warmed {
-		b.hintsWarmed++
-	} else {
-		b.hintsDenied++
-	}
-	b.mu.Unlock()
+	b.do(func(s *Snapshot) {
+		s.HintsReceived++
+		if warmed {
+			s.HintsWarmed++
+		} else {
+			s.HintsDenied++
+		}
+	})
 }
 
 // CountHintTrim records the master shrinking one slave's effective
 // hint depth because its reported hint waste climbed.
-func (b *Breakdown) CountHintTrim() {
-	b.mu.Lock()
-	b.hintTrims++
-	b.mu.Unlock()
-}
+func (b *Breakdown) CountHintTrim() { b.do(func(s *Snapshot) { s.HintTrims++ }) }
 
 // CountCheckpoint records one partial-reduction checkpoint shipped to
 // the master.
-func (b *Breakdown) CountCheckpoint() {
-	b.mu.Lock()
-	b.checkpoints++
-	b.mu.Unlock()
-}
+func (b *Breakdown) CountCheckpoint() { b.do(func(s *Snapshot) { s.Checkpoints++ }) }
 
 // CountCheckpointAdopt records the master merging a lost slave's last
 // checkpoint; jobs is how many completed jobs the checkpoint covered —
 // work that would otherwise have been re-executed.
 func (b *Breakdown) CountCheckpointAdopt(jobs int) {
-	b.mu.Lock()
-	b.checkpointsAdopted++
-	b.jobsRecovered += jobs
-	b.mu.Unlock()
+	b.do(func(s *Snapshot) {
+		s.CheckpointsAdopted++
+		s.JobsRecovered += jobs
+	})
 }
 
 // CountRequeue records granted jobs returned to the queue after a
 // slave loss — the re-execution cost of the loss.
-func (b *Breakdown) CountRequeue(n int) {
-	b.mu.Lock()
-	b.jobsRequeued += n
-	b.mu.Unlock()
-}
+func (b *Breakdown) CountRequeue(n int) { b.do(func(s *Snapshot) { s.JobsRequeued += n }) }
 
 // CountPreemptAbandon records in-flight jobs a warned slave abandoned
 // because its warning window could not fit them.
-func (b *Breakdown) CountPreemptAbandon(n int) {
-	b.mu.Lock()
-	b.jobsAbandoned += n
-	b.mu.Unlock()
-}
+func (b *Breakdown) CountPreemptAbandon(n int) { b.do(func(s *Snapshot) { s.JobsAbandoned += n }) }
 
 // CountPreemptWarn records one revocation warning.
-func (b *Breakdown) CountPreemptWarn() {
-	b.mu.Lock()
-	b.preemptWarns++
-	b.mu.Unlock()
-}
+func (b *Breakdown) CountPreemptWarn() { b.do(func(s *Snapshot) { s.PreemptWarns++ }) }
 
 // CountPreemptDrain records one accelerated drain that flushed its
 // partial reduction before the hard kill landed.
-func (b *Breakdown) CountPreemptDrain() {
-	b.mu.Lock()
-	b.preemptDrains++
-	b.mu.Unlock()
-}
+func (b *Breakdown) CountPreemptDrain() { b.do(func(s *Snapshot) { s.PreemptDrains++ }) }
 
 // CountBuffer records one chunk read served through the site buffer
 // tier: hit says whether the buffer had the chunk resident, bytes is
 // the chunk size read.
 func (b *Breakdown) CountBuffer(hit bool, bytes int64) {
-	b.mu.Lock()
-	if hit {
-		b.bufferHits++
-	} else {
-		b.bufferMisses++
-	}
-	b.bufferBytes += bytes
-	b.mu.Unlock()
+	b.do(func(s *Snapshot) {
+		if hit {
+			s.BufferHits++
+		} else {
+			s.BufferMisses++
+		}
+		s.BufferBytes += bytes
+	})
 }
 
 // AddStaged records bytes the master staged into the site buffer ahead
 // of slave demand.
-func (b *Breakdown) AddStaged(bytes int64) {
-	b.mu.Lock()
-	b.stagedBytes += bytes
-	b.mu.Unlock()
-}
+func (b *Breakdown) AddStaged(bytes int64) { b.do(func(s *Snapshot) { s.StagedBytes += bytes }) }
 
 // AddObjectStream records one streamed reduction-object transfer:
 // parts frames carrying bytes actual encoded bytes, against the
 // object's est(imated) Reduction.Bytes() at ship time.
 func (b *Breakdown) AddObjectStream(parts int, bytes, est int64) {
-	b.mu.Lock()
-	b.objectParts += parts
-	b.objectBytes += bytes
-	b.objectEstBytes += est
-	b.mu.Unlock()
+	b.do(func(s *Snapshot) {
+		s.ObjectParts += parts
+		s.ObjectBytes += bytes
+		s.ObjectEstBytes += est
+	})
 }
 
 // CountCheckpointSkip records one checkpoint push elided because the
 // encoded object was byte-identical to the previously acked one.
-func (b *Breakdown) CountCheckpointSkip() {
-	b.mu.Lock()
-	b.checkpointSkips++
-	b.mu.Unlock()
-}
+func (b *Breakdown) CountCheckpointSkip() { b.do(func(s *Snapshot) { s.CheckpointSkips++ }) }
 
 // AddMerge folds merge activity in: merges pairwise merge operations,
 // busy the summed merge spans, tail the merge work left exposed after
 // the last input arrived, and maxPar the peak concurrent mergers.
 func (b *Breakdown) AddMerge(merges int, busy, tail time.Duration, maxPar int) {
-	b.mu.Lock()
-	b.merges += merges
-	b.mergeBusy += busy
-	b.mergeTail += tail
-	if maxPar > b.mergeMaxPar {
-		b.mergeMaxPar = maxPar
-	}
-	b.mu.Unlock()
+	b.do(func(s *Snapshot) {
+		s.Merges += merges
+		s.MergeBusyEmu += busy
+		s.MergeTailEmu += tail
+		s.MergeMaxPar = max(s.MergeMaxPar, maxPar)
+	})
 }
 
 // AddPool folds buffer-pool counters (gets and allocation misses) in.
 func (b *Breakdown) AddPool(gets, misses int64) {
-	b.mu.Lock()
-	b.poolGets += gets
-	b.poolMisses += misses
-	b.mu.Unlock()
+	b.do(func(s *Snapshot) {
+		s.PoolGets += gets
+		s.PoolMisses += misses
+	})
 }
 
 // CountJob records a completed job and whether its data was stolen
 // from a remote site, along with the units it contained.
 func (b *Breakdown) CountJob(stolen bool, units int64) {
-	b.mu.Lock()
-	b.jobsProcessed++
-	if stolen {
-		b.jobsStolen++
-	}
-	b.unitsReduced += units
-	b.mu.Unlock()
-}
-
-// Merge folds other into b.
-func (b *Breakdown) Merge(other *Breakdown) {
-	if other == nil {
-		return
-	}
-	b.AddSnapshot(other.Snapshot())
+	b.do(func(s *Snapshot) {
+		s.JobsProcessed++
+		if stolen {
+			s.JobsStolen++
+		}
+		s.UnitsReduced += units
+	})
 }
 
 // AddSnapshot folds a previously captured snapshot into b.
-func (b *Breakdown) AddSnapshot(s Snapshot) {
-	b.mu.Lock()
-	b.processing += s.Processing
-	b.retrieval += s.Retrieval
-	b.sync += s.Sync
-	b.jobsProcessed += s.JobsProcessed
-	b.jobsStolen += s.JobsStolen
-	b.unitsReduced += s.UnitsReduced
-	b.bytesRead += s.BytesRead
-	b.bytesRemote += s.BytesRemote
-	b.retries += s.Retries
-	b.backoff += s.BackoffEmu
-	b.heartbeatMisses += s.HeartbeatMisses
-	b.cacheHits += s.CacheHits
-	b.cacheMisses += s.CacheMisses
-	b.cacheBytes += s.CacheBytesSaved
-	b.prefetched += s.PrefetchedJobs
-	b.prefetchSaved += s.PrefetchSavedEmu
-	b.prefetchSkips += s.PrefetchSkips
-	b.poolGets += s.PoolGets
-	b.poolMisses += s.PoolMisses
-	b.autotuneSamples += s.AutotuneSamples
-	b.autotuneRaises += s.AutotuneRaises
-	b.autotuneDrops += s.AutotuneDrops
-	b.hintsReceived += s.HintsReceived
-	b.hintsWarmed += s.HintsWarmed
-	b.hintsDenied += s.HintsDenied
-	b.hintTrims += s.HintTrims
-	b.checkpoints += s.Checkpoints
-	b.checkpointsAdopted += s.CheckpointsAdopted
-	b.jobsRecovered += s.JobsRecovered
-	b.jobsRequeued += s.JobsRequeued
-	b.jobsAbandoned += s.JobsAbandoned
-	b.preemptWarns += s.PreemptWarns
-	b.preemptDrains += s.PreemptDrains
-	b.bufferHits += s.BufferHits
-	b.bufferMisses += s.BufferMisses
-	b.bufferBytes += s.BufferBytes
-	b.stagedBytes += s.StagedBytes
-	b.objectParts += s.ObjectParts
-	b.objectBytes += s.ObjectBytes
-	b.objectEstBytes += s.ObjectEstBytes
-	b.checkpointSkips += s.CheckpointSkips
-	b.merges += s.Merges
-	b.mergeBusy += s.MergeBusyEmu
-	b.mergeTail += s.MergeTailEmu
-	if s.MergeMaxPar > b.mergeMaxPar {
-		b.mergeMaxPar = s.MergeMaxPar
-	}
-	b.mu.Unlock()
-}
+func (b *Breakdown) AddSnapshot(o Snapshot) { b.do(func(s *Snapshot) { *s = s.Add(o) }) }
 
 // Snapshot returns a copy of the current totals.
 func (b *Breakdown) Snapshot() Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return Snapshot{
-		Processing:       b.processing,
-		Retrieval:        b.retrieval,
-		Sync:             b.sync,
-		JobsProcessed:    b.jobsProcessed,
-		JobsStolen:       b.jobsStolen,
-		UnitsReduced:     b.unitsReduced,
-		BytesRead:        b.bytesRead,
-		BytesRemote:      b.bytesRemote,
-		Retries:          b.retries,
-		BackoffEmu:       b.backoff,
-		HeartbeatMisses:  b.heartbeatMisses,
-		CacheHits:        b.cacheHits,
-		CacheMisses:      b.cacheMisses,
-		CacheBytesSaved:  b.cacheBytes,
-		PrefetchedJobs:   b.prefetched,
-		PrefetchSavedEmu: b.prefetchSaved,
-		PrefetchSkips:    b.prefetchSkips,
-		PoolGets:         b.poolGets,
-		PoolMisses:       b.poolMisses,
-		AutotuneSamples:  b.autotuneSamples,
-		AutotuneRaises:   b.autotuneRaises,
-		AutotuneDrops:    b.autotuneDrops,
-		HintsReceived:    b.hintsReceived,
-		HintsWarmed:      b.hintsWarmed,
-		HintsDenied:      b.hintsDenied,
-		HintTrims:        b.hintTrims,
-
-		Checkpoints:        b.checkpoints,
-		CheckpointsAdopted: b.checkpointsAdopted,
-		JobsRecovered:      b.jobsRecovered,
-		JobsRequeued:       b.jobsRequeued,
-		JobsAbandoned:      b.jobsAbandoned,
-		PreemptWarns:       b.preemptWarns,
-		PreemptDrains:      b.preemptDrains,
-
-		BufferHits:   b.bufferHits,
-		BufferMisses: b.bufferMisses,
-		BufferBytes:  b.bufferBytes,
-		StagedBytes:  b.stagedBytes,
-
-		ObjectParts:     b.objectParts,
-		ObjectBytes:     b.objectBytes,
-		ObjectEstBytes:  b.objectEstBytes,
-		CheckpointSkips: b.checkpointSkips,
-		Merges:          b.merges,
-		MergeBusyEmu:    b.mergeBusy,
-		MergeTailEmu:    b.mergeTail,
-		MergeMaxPar:     b.mergeMaxPar,
-	}
+	return b.s
 }
 
-// Snapshot is an immutable copy of a Breakdown.
+// Snapshot is a copy of a Breakdown's totals, and the one place a
+// per-worker counter is declared: Breakdown, Add, the report sections
+// and the wire codec all walk or embed it. Every field is an integer
+// counter (the codec carries nothing else).
 type Snapshot struct {
-	Processing    time.Duration
-	Retrieval     time.Duration
-	Sync          time.Duration
-	JobsProcessed int
-	JobsStolen    int
+	Processing    time.Duration // local reduction compute
+	Retrieval     time.Duration // reading chunk data (local disk or remote store)
+	Sync          time.Duration // waiting at barriers / for job responses at drain
+	JobsProcessed int           // chunks fully reduced by this worker/cluster
+	JobsStolen    int           // chunks whose data lived at another site
 	UnitsReduced  int64
 	BytesRead     int64
 	BytesRemote   int64
 
-	Retries         int
-	BackoffEmu      time.Duration
-	HeartbeatMisses int
+	Retries         int           // retried store/wire requests
+	BackoffEmu      time.Duration // emulated time spent backing off
+	HeartbeatMisses int           // peers declared stalled via heartbeat
 
-	CacheHits        int
-	CacheMisses      int
-	CacheBytesSaved  int64
-	PrefetchedJobs   int
-	PrefetchSavedEmu time.Duration
-	PrefetchSkips    int
-	PoolGets         int64
-	PoolMisses       int64
+	CacheHits        int           // chunk retrievals served from the cache
+	CacheMisses      int           // chunk retrievals that went to the store
+	CacheBytesSaved  int64         // bytes served from cache instead of refetched
+	PrefetchedJobs   int           // jobs whose chunk arrived via prefetch
+	PrefetchSavedEmu time.Duration // retrieval time hidden behind compute
+	PrefetchSkips    int           // prefetches skipped (byte budget exhausted)
+	PoolGets         int64         // fetch buffers handed out by the pool
+	PoolMisses       int64         // pool gets that had to allocate
 
-	AutotuneSamples int
-	AutotuneRaises  int
-	AutotuneDrops   int
-	HintsReceived   int
-	HintsWarmed     int
-	HintsDenied     int
-	HintTrims       int
+	AutotuneSamples int // fetches observed by an AIMD fetch autotuner
+	AutotuneRaises  int // autotuner additive thread-count increases
+	AutotuneDrops   int // autotuner multiplicative back-offs
+	HintsReceived   int // prefetch-hint jobs received from the master
+	HintsWarmed     int // hint chunks fetched into the cache ahead of a grant
+	HintsDenied     int // hints skipped (byte budget exhausted)
+	HintTrims       int // master cuts to a slave's effective hint depth
 
-	Checkpoints        int
-	CheckpointsAdopted int
-	JobsRecovered      int
-	JobsRequeued       int
-	JobsAbandoned      int
-	PreemptWarns       int
-	PreemptDrains      int
+	Checkpoints        int // partial-reduction checkpoints shipped to the master
+	CheckpointsAdopted int // checkpoints merged after an unwarned slave loss
+	JobsRecovered      int // jobs a checkpoint adoption saved from re-execution
+	JobsRequeued       int // granted jobs requeued after a slave loss
+	JobsAbandoned      int // in-flight jobs abandoned by a preemption drain
+	PreemptWarns       int // revocation warnings received / observed
+	PreemptDrains      int // accelerated drains that flushed before the kill
 
 	// New counters append here: the wire codec walks Snapshot fields in
 	// declaration order and drops trailing unknowns, so appending keeps
 	// mixed-version peers decoding each other.
-	BufferHits   int
-	BufferMisses int
-	BufferBytes  int64
-	StagedBytes  int64
+	BufferHits   int   // chunk reads the site buffer served from residency
+	BufferMisses int   // buffer reads that paid a backing fetch
+	BufferBytes  int64 // bytes read through the site buffer tier
+	StagedBytes  int64 // bytes staged into the site buffer ahead of demand
 
 	ObjectParts     int           // streamed object frames shipped/received
 	ObjectBytes     int64         // actual encoded object bytes streamed
@@ -501,65 +303,19 @@ type Snapshot struct {
 // Total returns the summed time components.
 func (s Snapshot) Total() time.Duration { return s.Processing + s.Retrieval + s.Sync }
 
-// Add returns the component-wise sum of two snapshots.
+// Add returns the field-wise sum of two snapshots. It walks the fields
+// in declaration order, as the wire codec does, so a new counter sums
+// without being named here. The one rule besides summing: MergeMaxPar
+// is a peak, and a peak folds by max.
 func (s Snapshot) Add(o Snapshot) Snapshot {
-	return Snapshot{
-		Processing:       s.Processing + o.Processing,
-		Retrieval:        s.Retrieval + o.Retrieval,
-		Sync:             s.Sync + o.Sync,
-		JobsProcessed:    s.JobsProcessed + o.JobsProcessed,
-		JobsStolen:       s.JobsStolen + o.JobsStolen,
-		UnitsReduced:     s.UnitsReduced + o.UnitsReduced,
-		BytesRead:        s.BytesRead + o.BytesRead,
-		BytesRemote:      s.BytesRemote + o.BytesRemote,
-		Retries:          s.Retries + o.Retries,
-		BackoffEmu:       s.BackoffEmu + o.BackoffEmu,
-		HeartbeatMisses:  s.HeartbeatMisses + o.HeartbeatMisses,
-		CacheHits:        s.CacheHits + o.CacheHits,
-		CacheMisses:      s.CacheMisses + o.CacheMisses,
-		CacheBytesSaved:  s.CacheBytesSaved + o.CacheBytesSaved,
-		PrefetchedJobs:   s.PrefetchedJobs + o.PrefetchedJobs,
-		PrefetchSavedEmu: s.PrefetchSavedEmu + o.PrefetchSavedEmu,
-		PrefetchSkips:    s.PrefetchSkips + o.PrefetchSkips,
-		PoolGets:         s.PoolGets + o.PoolGets,
-		PoolMisses:       s.PoolMisses + o.PoolMisses,
-		AutotuneSamples:  s.AutotuneSamples + o.AutotuneSamples,
-		AutotuneRaises:   s.AutotuneRaises + o.AutotuneRaises,
-		AutotuneDrops:    s.AutotuneDrops + o.AutotuneDrops,
-		HintsReceived:    s.HintsReceived + o.HintsReceived,
-		HintsWarmed:      s.HintsWarmed + o.HintsWarmed,
-		HintsDenied:      s.HintsDenied + o.HintsDenied,
-		HintTrims:        s.HintTrims + o.HintTrims,
-
-		Checkpoints:        s.Checkpoints + o.Checkpoints,
-		CheckpointsAdopted: s.CheckpointsAdopted + o.CheckpointsAdopted,
-		JobsRecovered:      s.JobsRecovered + o.JobsRecovered,
-		JobsRequeued:       s.JobsRequeued + o.JobsRequeued,
-		JobsAbandoned:      s.JobsAbandoned + o.JobsAbandoned,
-		PreemptWarns:       s.PreemptWarns + o.PreemptWarns,
-		PreemptDrains:      s.PreemptDrains + o.PreemptDrains,
-
-		BufferHits:   s.BufferHits + o.BufferHits,
-		BufferMisses: s.BufferMisses + o.BufferMisses,
-		BufferBytes:  s.BufferBytes + o.BufferBytes,
-		StagedBytes:  s.StagedBytes + o.StagedBytes,
-
-		ObjectParts:     s.ObjectParts + o.ObjectParts,
-		ObjectBytes:     s.ObjectBytes + o.ObjectBytes,
-		ObjectEstBytes:  s.ObjectEstBytes + o.ObjectEstBytes,
-		CheckpointSkips: s.CheckpointSkips + o.CheckpointSkips,
-		Merges:          s.Merges + o.Merges,
-		MergeBusyEmu:    s.MergeBusyEmu + o.MergeBusyEmu,
-		MergeTailEmu:    s.MergeTailEmu + o.MergeTailEmu,
-		MergeMaxPar:     maxInt(s.MergeMaxPar, o.MergeMaxPar),
+	peak := max(s.MergeMaxPar, o.MergeMaxPar)
+	sv, ov := reflect.ValueOf(&s).Elem(), reflect.ValueOf(o)
+	for i := range sv.NumField() {
+		f := sv.Field(i)
+		f.SetInt(f.Int() + ov.Field(i).Int())
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	s.MergeMaxPar = peak
+	return s
 }
 
 // DivideTimes returns a snapshot whose time components are divided by
@@ -574,12 +330,6 @@ func (s Snapshot) DivideTimes(n int) Snapshot {
 	out.Retrieval /= time.Duration(n)
 	out.Sync /= time.Duration(n)
 	return out
-}
-
-func (s Snapshot) String() string {
-	return fmt.Sprintf("proc=%v retr=%v sync=%v jobs=%d stolen=%d",
-		s.Processing.Round(time.Millisecond), s.Retrieval.Round(time.Millisecond),
-		s.Sync.Round(time.Millisecond), s.JobsProcessed, s.JobsStolen)
 }
 
 // ClusterReport is the per-cluster summary produced at the end of a
@@ -619,104 +369,36 @@ func (f FaultReport) Any() bool {
 }
 
 // RetrievalReport aggregates the retrieval-pipeline activity over a
-// run: chunk-cache effectiveness, prefetch overlap, and buffer-pool
-// reuse, summed across every worker of every cluster.
+// run: every worker's counters summed run-wide (chunk-cache
+// effectiveness, prefetch overlap, buffer-pool reuse, hints, the site
+// buffer tier), plus what no worker snapshot holds.
 type RetrievalReport struct {
-	CacheHits        int           // chunk retrievals served from cache
-	CacheMisses      int           // chunk retrievals that hit the store
-	CacheBytesSaved  int64         // bytes not re-read from any store
-	PrefetchedJobs   int           // jobs whose chunk arrived via prefetch
-	PrefetchSavedEmu time.Duration // retrieval time hidden behind compute
-	PrefetchSkips    int           // prefetches denied by the byte budget
-	PoolGets         int64         // fetch buffers handed out by pools
-	PoolMisses       int64         // pool gets that had to allocate
+	Snapshot
 
-	AutotuneSamples int // fetches observed by AIMD fetch autotuners
-	AutotuneRaises  int // autotuner additive thread-count increases
-	AutotuneDrops   int // autotuner multiplicative back-offs
-	HintsReceived   int // master prefetch hints received by slaves
-	HintsWarmed     int // hint chunks warmed into caches ahead of grants
-	HintsDenied     int // hints denied by the prefetch byte budget
-	StealsCold      int // stolen grants whose chunks were cache-cold at the victim
-	StealsWarm      int // stolen grants that took cache-warm victim chunks
+	StealsCold int // stolen grants whose chunks were cache-cold at the victim
+	StealsWarm int // stolen grants that took cache-warm victim chunks
 
 	// Hint-quality feedback: hint chunks a slave warmed into its cache
 	// that were never granted to any of its workers — warm bytes the
 	// master's hint stream wasted on work that went elsewhere.
 	WastedHints     int   // hinted-and-warmed chunks never granted
 	WastedWarmBytes int64 // bytes warmed for those chunks
-	HintTrims       int   // master cuts to slaves' effective hint depths
 
-	// Site-buffer tier: reads slaves routed through the shared per-site
-	// burst buffer, the master's staging ahead of demand, and the bytes
-	// the buffer itself paid the backing store (the run's true S3
-	// egress for buffered reads — everything above BufferBackingBytes
-	// was absorbed by sharing).
-	BufferHits         int   // buffered reads served from residency
-	BufferMisses       int   // buffered reads that paid a backing fetch
-	BufferBytes        int64 // bytes slaves read through the buffer
-	StagedBytes        int64 // bytes staged by masters ahead of demand
-	BufferBackingBytes int64 // bytes the buffer fetched from backing stores
-}
-
-// Any reports whether any pipeline activity was recorded.
-func (r RetrievalReport) Any() bool {
-	return r.CacheHits > 0 || r.CacheMisses > 0 || r.PrefetchedJobs > 0 ||
-		r.PrefetchSkips > 0 || r.PoolGets > 0 || r.AutotuneSamples > 0 ||
-		r.HintsReceived > 0 || r.StealsCold > 0 || r.StealsWarm > 0 ||
-		r.BufferHits > 0 || r.BufferMisses > 0 || r.StagedBytes > 0
+	// BufferBackingBytes is what the site buffer itself paid the backing
+	// store: the run's true S3 egress for buffered reads — everything
+	// above it in BufferBytes was absorbed by sharing.
+	BufferBackingBytes int64
 }
 
 // Add folds another report in (summing a run sequence, e.g. the
 // iterations of a multi-pass algorithm).
 func (r *RetrievalReport) Add(o RetrievalReport) {
-	r.CacheHits += o.CacheHits
-	r.CacheMisses += o.CacheMisses
-	r.CacheBytesSaved += o.CacheBytesSaved
-	r.PrefetchedJobs += o.PrefetchedJobs
-	r.PrefetchSavedEmu += o.PrefetchSavedEmu
-	r.PrefetchSkips += o.PrefetchSkips
-	r.PoolGets += o.PoolGets
-	r.PoolMisses += o.PoolMisses
-	r.AutotuneSamples += o.AutotuneSamples
-	r.AutotuneRaises += o.AutotuneRaises
-	r.AutotuneDrops += o.AutotuneDrops
-	r.HintsReceived += o.HintsReceived
-	r.HintsWarmed += o.HintsWarmed
-	r.HintsDenied += o.HintsDenied
+	r.Snapshot = r.Snapshot.Add(o.Snapshot)
 	r.StealsCold += o.StealsCold
 	r.StealsWarm += o.StealsWarm
 	r.WastedHints += o.WastedHints
 	r.WastedWarmBytes += o.WastedWarmBytes
-	r.HintTrims += o.HintTrims
-	r.BufferHits += o.BufferHits
-	r.BufferMisses += o.BufferMisses
-	r.BufferBytes += o.BufferBytes
-	r.StagedBytes += o.StagedBytes
 	r.BufferBackingBytes += o.BufferBackingBytes
-}
-
-// AddSnapshot folds one worker snapshot's pipeline counters in.
-func (r *RetrievalReport) AddSnapshot(s Snapshot) {
-	r.CacheHits += s.CacheHits
-	r.CacheMisses += s.CacheMisses
-	r.CacheBytesSaved += s.CacheBytesSaved
-	r.PrefetchedJobs += s.PrefetchedJobs
-	r.PrefetchSavedEmu += s.PrefetchSavedEmu
-	r.PrefetchSkips += s.PrefetchSkips
-	r.PoolGets += s.PoolGets
-	r.PoolMisses += s.PoolMisses
-	r.AutotuneSamples += s.AutotuneSamples
-	r.AutotuneRaises += s.AutotuneRaises
-	r.AutotuneDrops += s.AutotuneDrops
-	r.HintsReceived += s.HintsReceived
-	r.HintsWarmed += s.HintsWarmed
-	r.HintsDenied += s.HintsDenied
-	r.HintTrims += s.HintTrims
-	r.BufferHits += s.BufferHits
-	r.BufferMisses += s.BufferMisses
-	r.BufferBytes += s.BufferBytes
-	r.StagedBytes += s.StagedBytes
 }
 
 // PreemptionReport aggregates spot-revocation activity over a run:
@@ -749,7 +431,7 @@ func (p PreemptionReport) Any() bool {
 // how reduction objects moved (streamed parts vs. monolithic frames)
 // and how merge work overlapped with their arrival.
 type SyncReport struct {
-	Mode          string // sync mode the run used (monolithic, streamed, ...)
+	Mode          string // sync mode the run used: monolithic or streamed-parallel
 	Parts         int    // streamed object frames across all hops
 	StreamedBytes int64  // actual encoded object bytes streamed
 	EstBytes      int64  // Reduction.Bytes() estimates for the same objects
@@ -781,11 +463,6 @@ func (s SyncReport) String() string {
 			s.PartialSite, s.PartialHiddenEmu.Round(time.Millisecond))
 	}
 	return out
-}
-
-// Any reports whether any sync activity was recorded.
-func (s SyncReport) Any() bool {
-	return s.Parts > 0 || s.StreamedBytes > 0 || s.Merges > 0 || s.CheckpointSkips > 0
 }
 
 // RunReport is the whole-run summary the harness renders tables from.

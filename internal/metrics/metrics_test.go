@@ -47,7 +47,7 @@ func TestBreakdownMerge(t *testing.T) {
 	a.CountJob(false, 10)
 	b.AddProcessing(2 * time.Second)
 	b.CountJob(true, 20)
-	a.Merge(&b)
+	a.AddSnapshot(b.Snapshot())
 	s := a.Snapshot()
 	if s.Processing != 3*time.Second {
 		t.Errorf("merged processing = %v", s.Processing)
@@ -55,7 +55,6 @@ func TestBreakdownMerge(t *testing.T) {
 	if s.JobsProcessed != 2 || s.JobsStolen != 1 {
 		t.Errorf("merged jobs = %+v", s)
 	}
-	a.Merge(nil) // must not panic
 }
 
 func TestBreakdownConcurrent(t *testing.T) {
@@ -118,6 +117,50 @@ func TestSnapshotAddProperty(t *testing.T) {
 	}
 }
 
+// countingSnapshot returns a Snapshot whose field i holds i+1, so
+// every counter is distinct and non-zero.
+func countingSnapshot() Snapshot {
+	var s Snapshot
+	v := reflect.ValueOf(&s).Elem()
+	for i := range v.NumField() {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	return s
+}
+
+// TestSnapshotAddEveryCounter: Add sums every counter and folds the one
+// peak, MergeMaxPar, by max — and Breakdown.AddSnapshot and
+// RetrievalReport.Add fold through the same rule.
+func TestSnapshotAddEveryCounter(t *testing.T) {
+	a := countingSnapshot()
+	sum := a.Add(a)
+	av, sv := reflect.ValueOf(a), reflect.ValueOf(sum)
+	for i := range av.NumField() {
+		name, got, in := av.Type().Field(i).Name, sv.Field(i).Int(), av.Field(i).Int()
+		want := 2 * in
+		if name == "MergeMaxPar" {
+			want = in
+		}
+		if got != want {
+			t.Errorf("a.Add(a).%s = %d, want %d", name, got, want)
+		}
+	}
+
+	var b Breakdown
+	b.AddSnapshot(a)
+	b.AddSnapshot(a)
+	if got := b.Snapshot(); got != sum {
+		t.Errorf("Breakdown.AddSnapshot twice = %+v, want %+v", got, sum)
+	}
+
+	r := RetrievalReport{Snapshot: a, StealsCold: 1, StealsWarm: 2, WastedHints: 3, WastedWarmBytes: 4, BufferBackingBytes: 5}
+	r.Add(r)
+	want := RetrievalReport{Snapshot: sum, StealsCold: 2, StealsWarm: 4, WastedHints: 6, WastedWarmBytes: 8, BufferBackingBytes: 10}
+	if r != want {
+		t.Errorf("RetrievalReport.Add = %+v, want %+v", r, want)
+	}
+}
+
 func TestRunReportClusterLookup(t *testing.T) {
 	r := RunReport{Clusters: []ClusterReport{
 		{Site: "local", Workers: Snapshot{JobsProcessed: 480}},
@@ -131,14 +174,6 @@ func TestRunReportClusterLookup(t *testing.T) {
 	}
 	if r.JobsProcessed() != 960 {
 		t.Fatalf("jobs processed = %d", r.JobsProcessed())
-	}
-}
-
-func TestSnapshotString(t *testing.T) {
-	s := Snapshot{Processing: time.Second, JobsProcessed: 3, JobsStolen: 1}
-	str := s.String()
-	if !strings.Contains(str, "jobs=3") || !strings.Contains(str, "stolen=1") {
-		t.Fatalf("string = %q", str)
 	}
 }
 
@@ -174,8 +209,12 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 		FinalResult: "digest-abc",
 		Faults:      FaultReport{Injected: 7, Retries: 5, BackoffEmu: time.Second, HeartbeatMisses: 1},
 		Retrieval: RetrievalReport{
-			CacheHits: 10, CacheMisses: 20, CacheBytesSaved: 1 << 22,
-			PrefetchedJobs: 30, PoolGets: 40, AutotuneSamples: 50,
+			Snapshot: Snapshot{
+				CacheHits: 10, CacheMisses: 20, CacheBytesSaved: 1 << 22,
+				PrefetchedJobs: 30, PoolGets: 40, AutotuneSamples: 50,
+				BufferBytes: 1 << 21,
+			},
+			StealsCold: 3, StealsWarm: 4, BufferBackingBytes: 1 << 20,
 		},
 		Sync: &SyncReport{
 			Mode: "streamed-parallel", Parts: 64, StreamedBytes: 1 << 25,
@@ -221,5 +260,19 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 	}
 	if string(out) != string(out2) {
 		t.Fatalf("re-marshal not byte-identical:\n first  %s\n second %s", out, out2)
+	}
+	// The embedded Snapshot flattens: bench -json artifacts read the
+	// retrieval counters directly under "Retrieval", not nested.
+	var shape struct{ Retrieval map[string]json.RawMessage }
+	if err := json.Unmarshal(out, &shape); err != nil {
+		t.Fatalf("unmarshal shape: %v", err)
+	}
+	for _, key := range []string{"CacheHits", "BufferBytes", "StealsCold"} {
+		if _, ok := shape.Retrieval[key]; !ok {
+			t.Errorf("%q is not directly under \"Retrieval\"", key)
+		}
+	}
+	if _, nested := shape.Retrieval["Snapshot"]; nested {
+		t.Error("\"Retrieval\" nests its Snapshot instead of flattening it")
 	}
 }

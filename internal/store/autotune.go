@@ -39,7 +39,7 @@ import (
 type Autotuner struct {
 	mu sync.Mutex
 
-	threads  int  // current concurrency decision
+	threads  int // current concurrency decision
 	min, max int
 	ss       bool // slow start: raise multiplicatively until the first drop
 

@@ -13,8 +13,8 @@ import (
 
 func TestFetchOptionsNormalizeEdgeCases(t *testing.T) {
 	cases := []struct {
-		name      string
-		in, want  FetchOptions
+		name     string
+		in, want FetchOptions
 	}{
 		{"zero threads", FetchOptions{Threads: 0, RangeSize: 1 << 10}, FetchOptions{Threads: 1, RangeSize: 1 << 10}},
 		{"negative threads", FetchOptions{Threads: -3, RangeSize: 1 << 10}, FetchOptions{Threads: 1, RangeSize: 1 << 10}},

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -310,4 +311,37 @@ func TestSetMaxFrameRejectsOversized(t *testing.T) {
 		t.Fatalf("err = %v, want oversized-frame rejection", err)
 	}
 	<-errc // sender may or may not error depending on close timing
+}
+
+// statsGoldenFrame is the encoded KindClusterResult of
+// TestStatsFrameGolden.
+const statsGoldenFrame = "010481030005636c6f7564030102038098dc93348080eb91fc0d2d020406080a0c0e10121416181a1c1e20222426282a2c2e30323436383a3c3e40424446484a4c4e50525456585a"
+
+// TestStatsFrameGolden pins the Stats frame byte for byte: counter i of
+// metrics.Snapshot carries i+1, so a reordered, dropped or re-typed
+// counter — which mixed-version peers would misread — shows up as a
+// different frame. An appended counter changes the frame too without
+// breaking peers; extend the hex then.
+func TestStatsFrameGolden(t *testing.T) {
+	var snap metrics.Snapshot
+	v := reflect.ValueOf(&snap).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	m := &Message{
+		Kind:   KindClusterResult,
+		Site:   "cloud",
+		Object: []byte{1, 2, 3},
+		Stats:  Stats{Breakdown: snap, IdleEmu: int64(7 * time.Second), WallEmu: int64(240 * time.Second)},
+	}
+	enc, err := Encode(nil, m, CodecBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", enc); got != statsGoldenFrame {
+		t.Fatalf("Stats frame changed:\n got %s\nwant %s", got, statsGoldenFrame)
+	}
+	if got := roundTrip(t, m); !reflect.DeepEqual(got, m) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got.Stats, m.Stats)
+	}
 }

@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
 # Full verification, a superset of the tier-1 gate in ROADMAP.md:
+#   - gofmt over every tracked Go file (git ls-files, so an ignored
+#     build tree such as .bench_build/ is never scanned);
 #   - build, vet and every test, plus the benchmark module's smoke test;
 #   - race passes over every concurrency-heavy package, then twice over
 #     the membership, sync, prefetch-pipeline, copy-free chunk-reply and
@@ -17,6 +19,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+unformatted="$(gofmt -l $(git ls-files '*.go'))"
+test -z "$unformatted" || { echo "gofmt -l lists:"; echo "$unformatted"; exit 1; } >&2
 go build ./...
 go vet ./...
 go test ./...
