@@ -18,6 +18,7 @@ import (
 
 	"cloudburst/internal/bench"
 	"cloudburst/internal/cli"
+	"cloudburst/internal/cluster"
 )
 
 func main() {
@@ -78,7 +79,7 @@ func main() {
 	res, err := bench.Execute(bench.RunConfig{
 		Spec: spec, LocalPct: *localPct,
 		LocalCores: *localCores, CloudCores: *cloudCores,
-		Sim: sim, Logf: logf,
+		Sim: sim, Deploy: cluster.DeployConfig{Logf: logf},
 	})
 	if err != nil {
 		fatal(err)

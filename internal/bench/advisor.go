@@ -3,12 +3,8 @@ package bench
 import (
 	"fmt"
 	"os"
-	"strings"
-	"time"
 
 	"cloudburst/internal/advisor"
-	"cloudburst/internal/elastic"
-	"cloudburst/internal/metrics"
 )
 
 // The advisor experiment is the warm-vs-cold sequence: the same
@@ -24,88 +20,14 @@ import (
 // converging. Digests must be identical across every run: planning
 // changes when capacity arrives, never what is computed.
 
-// AdvisorRow is one run of the sequence.
-type AdvisorRow struct {
-	Label string
-	// Warm marks an advisor-planned run; PlannedCores is the plan's
-	// fleet (0 for the cold run), Confidence its grade.
-	Warm         bool
-	PlannedCores int
-	Confidence   float64
-	HistoryRuns  int // records on file when this run was planned
-	TotalEmu     time.Duration
-	MetDeadline  bool
-	// Membership churn and the reactive-ramp measure: RampEvents counts
-	// mid-run "deadline at risk" scale-ups (the warm-start boot at t=0
-	// is excluded — it is the ramp's replacement, not part of it);
-	// LastRampSecs is when commanded capacity last grew, i.e. how long
-	// the run took to discover its fleet.
-	Boots, Drains, WastedBoots int
-	Peak                       int
-	RampEvents                 int
-	LastRampSecs               float64
-	InstanceSecs               float64
-	EgressGiB                  float64
-	InstanceUSD                float64
-	EgressUSD                  float64
-	TotalUSD                   float64
-	// Prediction feedback (warm runs): the plan's expectations and the
-	// signed error against the measured outcome, as written back into
-	// the history record.
-	PredictedWallSecs float64
-	PredictedCostUSD  float64
-	WallErrPct        float64
-	CostErrPct        float64
-	Events            []metrics.ScaleEvent
-	Digest            string
-}
-
-// Seconds is TotalEmu in emulated seconds (for JSON consumers).
-func (r AdvisorRow) Seconds() float64 { return r.TotalEmu.Seconds() }
-
-// AdvisorResult is the whole warm-vs-cold sequence for one application.
-type AdvisorResult struct {
-	App        string
-	LocalCores int
-	// BaselineEmu is the measured local-only wall the deadline derives
-	// from (same derivation as the elastic experiment).
-	BaselineEmu time.Duration
-	Deadline    time.Duration
-	HistoryDir  string
-	// Plan is the advice the first warm run launched under.
-	Plan advisor.Plan
-	Rows []AdvisorRow
-	// Headline scores: reactive ramp events eliminated by the warm
-	// start, the seconds earlier the warm run settled its fleet, and
-	// the cost delta (warm minus cold, paper-scale dollars).
-	RampEventsSaved int
-	RampSecsSaved   float64
-	CostDeltaUSD    float64
-	// Match is true when every run produced the same digest.
-	Match bool
-}
-
-// Row returns the row with the given label, or nil.
-func (a *AdvisorResult) Row(label string) *AdvisorRow {
-	for i := range a.Rows {
-		if a.Rows[i].Label == label {
-			return &a.Rows[i]
-		}
-	}
-	return nil
-}
-
 // AdvisorSweep measures the local-only baseline, derives the deadline,
 // then runs the cold/warm/warm-2 sequence against the advisor history
 // database in historyDir (created if needed; pre-existing records are
-// kept — a second sweep in the same dir plans from more history).
-// scaleUp projects egress to paper scale for the dollar columns, as in
-// ElasticSweep.
-func AdvisorSweep(spec AppSpec, sim SimParams, scaleUp float64, historyDir string, logf func(string, ...any)) (*AdvisorResult, error) {
-	spec = spec.withDefaults()
-	prices := AWS2011()
-	coreRate := prices.InstancePerHour / float64(prices.CoresPerInstance)
-
+// kept — a second sweep in the same dir plans from more history). It
+// is a sequence, not a sweep: each run is planned from the records the
+// runs before it appended. scaleUp projects egress to paper scale for
+// the dollar columns, as in ElasticSweep.
+func AdvisorSweep(spec AppSpec, sim SimParams, scaleUp float64, historyDir string, logf func(string, ...any)) (*Table, error) {
 	if historyDir == "" {
 		// No durable database requested: the sequence still needs one to
 		// warm itself, so use a throwaway.
@@ -119,8 +41,11 @@ func AdvisorSweep(spec AppSpec, sim SimParams, scaleUp float64, historyDir strin
 	if err != nil {
 		return nil, fmt.Errorf("bench: advisor history: %w", err)
 	}
-
-	data, err := CachedDataset(spec)
+	d, err := newDeadlineScenario(spec, sim, scaleUp, logf)
+	if err != nil {
+		return nil, err
+	}
+	data, err := CachedDataset(d.base.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -128,60 +53,38 @@ func AdvisorSweep(spec AppSpec, sim SimParams, scaleUp float64, historyDir strin
 	for _, f := range data.Files {
 		dataBytes += int64(len(f))
 	}
+	app := d.base.Spec.Name
 
-	base := RunConfig{
-		Spec: spec, Dataset: data, LocalPct: 100, LocalCores: elasticLocalCores,
-		Sim: sim, Batch: elasticBatch, JobsPerRequest: elasticJobsPer,
-		Logf: logf,
-	}
-	out := &AdvisorResult{App: spec.Name, LocalCores: elasticLocalCores, HistoryDir: st.Dir()}
-
-	res, err := Execute(base)
-	if err != nil {
-		return nil, fmt.Errorf("bench: advisor %s local-only: %w", spec.Name, err)
-	}
-	out.BaselineEmu = res.Report.TotalWall
-	out.Deadline = time.Duration(float64(out.BaselineEmu) * elasticDeadlineFrac)
-	boot := time.Duration(float64(out.BaselineEmu) * elasticBootFrac)
-
-	ctrl := func(seed int) *elastic.Config {
-		return &elastic.Config{
-			Site:         "cloud",
-			Deadline:     out.Deadline,
-			MinWorkers:   1,
-			MaxWorkers:   elasticCloudOver,
-			StepUp:       elasticStepUp,
-			SeedWorkers:  seed,
-			BootLatency:  boot,
-			InstanceRate: coreRate,
-			EgressRate:   prices.EgressPerGB,
-			Logf:         logf,
+	t := &Table{App: app, Iterations: 1}
+	var plan *advisor.Plan // nil plans the cold run
+	for _, label := range []string{"cold", "warm", "warm-2"} {
+		if label != "cold" {
+			history, err := st.Load()
+			if err != nil {
+				return nil, err
+			}
+			// LocalPct 50 names every sequence run's link class env-50/50.
+			p := advisor.Advise(history, advisor.Request{
+				App: app, Env: "env-50/50", DataBytes: dataBytes,
+				Deadline: d.deadline, MaxCloud: elasticCloudOver,
+				LocalWorkers: elasticLocalCores,
+				BootLatency:  d.boot, InstanceRate: d.coreRate,
+				EgressRate: d.egressRate,
+			})
+			plan = &p
 		}
-	}
-
-	// one run of the sequence: plan (nil for cold), execute, persist
-	// the record, fold the outcome into a row.
-	runOne := func(label string, plan *advisor.Plan, historyRuns int) (*AdvisorRow, error) {
-		seed := 0
-		if plan != nil && plan.Burst {
-			seed = plan.CloudCores
-		}
-		cfg := RunConfig{
-			Spec: spec, Dataset: data, LocalPct: 50, LocalCores: elasticLocalCores,
-			CloudCores: elasticCloudSeed, Sim: sim,
-			Batch: elasticBatch, JobsPerRequest: elasticJobsPer,
-			Elastic: ctrl(seed), Logf: logf,
-		}
-		res, err := Execute(cfg)
+		one, err := Sweep(d.base, 0, []Variant{{Label: label, Set: func(c *RunConfig) {
+			c.Deploy.Elastic = d.controller()
+			if plan != nil && plan.Burst {
+				c.Deploy.Elastic.SeedWorkers = plan.CloudCores
+			}
+		}}})
 		if err != nil {
-			return nil, fmt.Errorf("bench: advisor %s %s: %w", spec.Name, label, err)
+			return nil, err
 		}
-		el := res.Report.Elastic
-		if el == nil {
-			return nil, fmt.Errorf("bench: advisor %s %s: run produced no elastic report", spec.Name, label)
-		}
-		rec, err := advisor.FromReport(res.Report, advisor.ExtractOptions{
-			DataBytes: dataBytes, Deadline: out.Deadline, Plan: plan,
+		row := one.Rows[0]
+		rec, err := advisor.FromReport(row.Report, advisor.ExtractOptions{
+			DataBytes: dataBytes, Deadline: d.deadline, Plan: plan,
 		})
 		if err != nil {
 			return nil, err
@@ -189,147 +92,35 @@ func AdvisorSweep(spec AppSpec, sim SimParams, scaleUp float64, historyDir strin
 		if err := st.Append(rec); err != nil {
 			return nil, fmt.Errorf("bench: advisor history append: %w", err)
 		}
-		row := AdvisorRow{
-			Label: label, Warm: plan != nil, HistoryRuns: historyRuns,
-			TotalEmu:    res.Report.TotalWall,
-			MetDeadline: res.Report.TotalWall <= out.Deadline,
-			Boots:       el.Boots, Drains: el.Drains,
-			WastedBoots: el.WastedBoots, Peak: el.Peak,
-			Events: el.Events,
-			Digest: res.Report.FinalResult,
-		}
-		if plan != nil {
-			row.PlannedCores = plan.CloudCores
-			row.Confidence = plan.Confidence
-			row.PredictedWallSecs = rec.PredictedWallSecs
-			row.PredictedCostUSD = rec.PredictedCostUSD
-			row.WallErrPct = rec.WallErrPct
-			row.CostErrPct = rec.CostErrPct
-		}
-		for _, ev := range el.Events {
-			if ev.To > ev.From && ev.Reason != elastic.ReasonWarmStart {
-				row.RampEvents++
-				if s := ev.AtEmu.Seconds(); s > row.LastRampSecs {
-					row.LastRampSecs = s
-				}
-			}
-		}
-		scaledRow := ElasticRow{}
-		fillElasticCost(&scaledRow, el.InstanceSecs, egressBytes(res.Report), scaleUp, coreRate, prices.EgressPerGB)
-		row.InstanceSecs = scaledRow.InstanceSecs
-		row.EgressGiB = scaledRow.EgressGiB
-		row.InstanceUSD = scaledRow.InstanceUSD
-		row.EgressUSD = scaledRow.EgressUSD
-		row.TotalUSD = scaledRow.TotalUSD
-		return &row, nil
+		row.Plan, row.Record = plan, rec
+		t.Env = one.Env
+		t.Rows = append(t.Rows, row)
 	}
-
-	// env is the link class every sequence run records and matches
-	// under (LocalPct 50 names it env-50/50 in the report).
-	const env = "env-50/50"
-	advise := func() (advisor.Plan, int, error) {
-		history, err := st.Load()
-		if err != nil {
-			return advisor.Plan{}, 0, err
-		}
-		plan := advisor.Advise(history, advisor.Request{
-			App: spec.Name, Env: env, DataBytes: dataBytes,
-			Deadline: out.Deadline, MaxCloud: elasticCloudOver,
-			LocalWorkers: elasticLocalCores,
-			BootLatency:  boot, InstanceRate: coreRate,
-			EgressRate: prices.EgressPerGB,
-		})
-		return plan, len(advisor.Filter(history, spec.Name, env)), nil
-	}
-
-	cold, err := runOne("cold", nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	out.Rows = append(out.Rows, *cold)
-
-	plan, runs, err := advise()
-	if err != nil {
-		return nil, err
-	}
-	out.Plan = plan
-	warm, err := runOne("warm", &plan, runs)
-	if err != nil {
-		return nil, err
-	}
-	out.Rows = append(out.Rows, *warm)
-
-	plan2, runs2, err := advise()
-	if err != nil {
-		return nil, err
-	}
-	warm2, err := runOne("warm-2", &plan2, runs2)
-	if err != nil {
-		return nil, err
-	}
-	out.Rows = append(out.Rows, *warm2)
-
-	out.RampEventsSaved = cold.RampEvents - warm.RampEvents
-	out.RampSecsSaved = cold.LastRampSecs - warm.LastRampSecs
-	out.CostDeltaUSD = warm.TotalUSD - cold.TotalUSD
-	out.Match = true
-	for _, r := range out.Rows[1:] {
-		if r.Digest != out.Rows[0].Digest {
-			out.Match = false
-		}
-	}
-	return out, nil
+	d.finish(t)
+	return t, nil
 }
 
-// RenderAdvisor prints the warm-vs-cold sequence: the plan the advisor
-// issued, each run's ramp and cost, and the prediction errors fed back
-// into history.
-func RenderAdvisor(title string, res *AdvisorResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Advisor warm-vs-cold — %s (local %d cores; deadline %.1fs = %.0f%% of local-only %.1fs; history %s)\n",
-		title, res.LocalCores, res.Deadline.Seconds(),
-		elasticDeadlineFrac*100, res.BaselineEmu.Seconds(), res.HistoryDir)
-	fmt.Fprintf(&b, "  plan: %s\n", strings.ReplaceAll(res.Plan.String(), "\n", "\n  "))
-	fmt.Fprintf(&b, "  %-8s %7s %8s %9s %5s %6s %9s %5s %9s %9s %9s\n",
-		"run", "planned", "total", "deadline", "ramps", "lastΔ", "boots/dr", "peak", "inst-s", "total $", "wallerr%")
-	for _, r := range res.Rows {
-		met := "met ✓"
-		if !r.MetDeadline {
-			met = "MISS ✗"
+// AdvisorColumns are the sequence's metrics: each run's planned fleet,
+// reactive ramp, churn and bill, and the wall-clock prediction error
+// fed back into history.
+var AdvisorColumns = []Column{
+	col("planned", "%s", func(r *Row) any {
+		if r.Plan == nil {
+			return "-"
 		}
-		wallErr := "-"
-		if r.Warm {
-			wallErr = fmt.Sprintf("%+.1f", r.WallErrPct)
+		return fmt.Sprint(r.Plan.CloudCores)
+	}),
+	totalCol, deadlineCol,
+	col("ramps", "%d", func(r *Row) any { n, _ := r.ramp(); return n }),
+	col("lastΔ", "%.1f", func(r *Row) any { _, last := r.ramp(); return last }),
+	col("boots/dr", "%s", func(r *Row) any { return fmt.Sprintf("%d/%d", r.Elastic.Boots, r.Elastic.Drains) }),
+	col("peak", "%d", func(r *Row) any { return r.Elastic.Peak }),
+	col("inst-s", "%.0f", func(r *Row) any { return r.InstanceSecs }),
+	col("total $", "%.4f", func(r *Row) any { return r.TotalUSD }),
+	col("wallerr%", "%s", func(r *Row) any {
+		if r.Plan == nil {
+			return "-"
 		}
-		planned := "-"
-		if r.Warm {
-			planned = fmt.Sprintf("%d", r.PlannedCores)
-		}
-		fmt.Fprintf(&b, "  %-8s %7s %8.1f %9s %5d %6.1f %6d/%-2d %5d %9.0f %9.4f %9s\n",
-			r.Label, planned, r.TotalEmu.Seconds(), met,
-			r.RampEvents, r.LastRampSecs, r.Boots, r.Drains, r.Peak,
-			r.InstanceSecs, r.TotalUSD, wallErr)
-	}
-	for _, r := range res.Rows {
-		if len(r.Events) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "  %s decisions:", r.Label)
-		for _, ev := range r.Events {
-			fmt.Fprintf(&b, " [%.1fs %d→%d %s]",
-				ev.AtEmu.Seconds(), ev.From, ev.To, ev.Reason)
-		}
-		fmt.Fprintf(&b, "\n")
-	}
-	fmt.Fprintf(&b, "  warm start saved %d reactive ramp event(s) and %.1fs of fleet discovery; cost delta %+.4f $\n",
-		res.RampEventsSaved, res.RampSecsSaved, res.CostDeltaUSD)
-	if res.Match {
-		fmt.Fprintf(&b, "  result digests: identical across all runs ✓\n")
-	} else {
-		fmt.Fprintf(&b, "  result digests: DIVERGED — warm start changed results\n")
-		for _, r := range res.Rows {
-			fmt.Fprintf(&b, "    %-8s %s\n", r.Label+":", r.Digest)
-		}
-	}
-	return b.String()
+		return fmt.Sprintf("%+.1f", r.Record.WallErrPct)
+	}),
 }

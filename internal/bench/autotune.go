@@ -1,13 +1,5 @@
 package bench
 
-import (
-	"fmt"
-	"strings"
-	"time"
-
-	"cloudburst/internal/metrics"
-)
-
 // The autotune experiment compares static retrieval thread counts
 // against the AIMD fetch autotuner on the paper's retrieval-bound
 // environments. The static rows bracket the tuning burden the paper's
@@ -16,7 +8,7 @@ import (
 // autotune row *starts* at the mis-tuned 2 threads and must find the
 // knee on its own. Results must be digest-identical across variants —
 // the controller reorders and resizes range requests but never changes
-// what is computed — and the Match flag records that check.
+// what is computed.
 
 // autotuneFetchRange shrinks the sub-range size for this experiment
 // (and autotuneJobsDiv grows the chunks) so every chunk splits into
@@ -36,181 +28,54 @@ const (
 // residency-steered stealing) runs alongside the controller.
 const autotuneHintDepth = 4
 
-// AutotuneVariant is one row of the grid: a static thread count, or
-// the AIMD controller seeded at a mis-tuned static count.
-type AutotuneVariant struct {
-	Label    string
-	Threads  int
-	Autotune bool
-}
-
-// AutotuneVariants returns the grid rows in rendering order.
-func AutotuneVariants() []AutotuneVariant {
-	return []AutotuneVariant{
-		{Label: "static-2", Threads: 2},
-		{Label: "static-8", Threads: 8},
-		{Label: "autotune", Threads: 2, Autotune: true},
-	}
-}
-
-// AutotuneRow is one variant's outcome in one environment.
-type AutotuneRow struct {
-	Label    string
-	Threads  int // configured (static) or seed (autotune) thread count
-	Autotune bool
-	TotalEmu time.Duration
-	// Retrieval carries the run's pipeline counters, including the
-	// controller decisions and hint/steal outcomes.
-	Retrieval metrics.RetrievalReport
-	// Digest is the application result digest.
-	Digest string
-}
-
-// Seconds is TotalEmu in emulated seconds (for JSON consumers).
-func (r AutotuneRow) Seconds() float64 { return r.TotalEmu.Seconds() }
-
-// AutotuneCell is one environment's full set of rows.
-type AutotuneCell struct {
-	Env  string
-	Rows []AutotuneRow
-	// Match is true when every row produced the same digest.
-	Match bool
-}
-
-// Row returns the row with the given label, or nil.
-func (c *AutotuneCell) Row(label string) *AutotuneRow {
-	for i := range c.Rows {
-		if c.Rows[i].Label == label {
-			return &c.Rows[i]
-		}
-	}
-	return nil
-}
-
-// finish verifies digest invariance and fills the Match flag.
-func (c *AutotuneCell) finish() {
-	c.Match = true
-	for _, r := range c.Rows[1:] {
-		if r.Digest != c.Rows[0].Digest {
-			c.Match = false
-		}
-	}
-}
-
-// AutotuneResult is the whole grid for one application.
-type AutotuneResult struct {
-	App   string
-	Cells []AutotuneCell
-}
-
-// Cell returns the cell for the named environment, or nil.
-func (a *AutotuneResult) Cell(env string) *AutotuneCell {
-	for i := range a.Cells {
-		if a.Cells[i].Env == env {
-			return &a.Cells[i]
-		}
-	}
-	return nil
-}
-
-// Match reports whether every cell's digests agreed.
-func (a *AutotuneResult) Match() bool {
-	for _, c := range a.Cells {
-		if !c.Match {
-			return false
-		}
-	}
-	return true
-}
-
 // AutotuneGrid runs the static-2 / static-8 / autotune rows over the
-// two retrieval-heavy environments. env-cloud (all data in S3, cloud
-// cores only — Figure 3's retrieval-dominated bars) runs the bare
-// retrieval path, no prefetch or hints, so the thread count is the
-// only concurrency lever and the controller's win is attributable:
-// with overlap machinery on, every core already holds several fetches
-// in flight and the link's aggregate cap binds at any thread count.
-// The split deployment runs the full adaptive pipeline — prefetch,
-// chunk cache, master hints, residency-steered stealing — so the hint
-// and steal counters are exercised alongside the controller.
-func AutotuneGrid(spec AppSpec, sim SimParams, logf func(string, ...any)) (*AutotuneResult, error) {
+// two retrieval-heavy environments, one table each. env-cloud (all
+// data in S3, cloud cores only — Figure 3's retrieval-dominated bars)
+// runs the bare retrieval path, no prefetch or hints, so the thread
+// count is the only concurrency lever and the controller's win is
+// attributable: with overlap machinery on, every core already holds
+// several fetches in flight and the link's aggregate cap binds at any
+// thread count. The split deployment runs the full adaptive pipeline —
+// prefetch, chunk cache, master hints, residency-steered stealing — so
+// the hint and steal counters are exercised alongside the controller.
+func AutotuneGrid(spec AppSpec, sim SimParams, logf func(string, ...any)) ([]*Table, error) {
 	spec = spec.withDefaults()
 	sim.FetchRange = autotuneFetchRange
 	if d := spec.Jobs / autotuneJobsDiv; d >= spec.Files {
 		spec.Jobs = d
 	}
-	out := &AutotuneResult{App: spec.Name}
-	envs := []struct {
-		localPct, localCores, cloudCores int
-		pipeline                         bool
-	}{
-		{0, 0, spec.CloudCores(32), false},
-		{50, 16, spec.CloudCores(16), true},
+	cloud := cloudOnly(spec, sim, logf)
+	cloud.Deploy.CacheBytes = overlapCacheBytes
+	split := cloud
+	split.LocalPct, split.LocalCores, split.CloudCores = 50, 16, spec.CloudCores(16)
+	split.Deploy.Prefetch, split.Deploy.HintDepth = true, autotuneHintDepth
+	threads := func(n int, tune bool) func(*RunConfig) {
+		return func(c *RunConfig) { c.Sim.FetchThreads, c.Deploy.FetchAutotune = n, tune }
 	}
-	for _, env := range envs {
-		cell := AutotuneCell{}
-		for _, v := range AutotuneVariants() {
-			vsim := sim
-			vsim.FetchThreads = v.Threads
-			cfg := RunConfig{
-				Spec: spec, LocalPct: env.localPct,
-				LocalCores: env.localCores, CloudCores: env.cloudCores,
-				Sim: vsim, Logf: logf,
-				CacheBytes:    overlapCacheBytes,
-				FetchAutotune: v.Autotune,
-			}
-			if env.pipeline {
-				cfg.Prefetch = true
-				cfg.HintDepth = autotuneHintDepth
-			}
-			res, err := Execute(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("bench: autotune %s %s %s: %w",
-					spec.Name, envName(cfg), v.Label, err)
-			}
-			cell.Env = res.Env
-			cell.Rows = append(cell.Rows, AutotuneRow{
-				Label: v.Label, Threads: v.Threads, Autotune: v.Autotune,
-				TotalEmu:  res.Report.TotalWall,
-				Retrieval: res.Report.Retrieval,
-				Digest:    res.Report.FinalResult,
-			})
+	var out []*Table
+	for _, base := range []RunConfig{cloud, split} {
+		t, err := Sweep(base, 0, []Variant{
+			{Label: "static-2", Set: threads(2, false)},
+			{Label: "static-8", Set: threads(8, false)},
+			{Label: "autotune", Set: threads(2, true)},
+		})
+		if err != nil {
+			return nil, err
 		}
-		cell.finish()
-		out.Cells = append(out.Cells, cell)
+		out = append(out, t)
 	}
 	return out, nil
 }
 
-// RenderAutotune prints the grid with each row's speedup over the
-// mis-tuned static-2 baseline of its environment.
-func RenderAutotune(title string, res *AutotuneResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fetch autotune — %s (emulated seconds; speedup vs static-2)\n", title)
-	for _, cell := range res.Cells {
-		fmt.Fprintf(&b, "%s\n", cell.Env)
-		fmt.Fprintf(&b, "  %-10s %8s %10s %9s %7s %7s %7s %7s %6s %6s\n",
-			"variant", "threads", "total", "speedup", "raises", "drops", "warmed", "denied", "cold", "warm")
-		base := cell.Rows[0].TotalEmu.Seconds()
-		for _, r := range cell.Rows {
-			speed := "—"
-			if base > 0 && r.TotalEmu > 0 {
-				speed = fmt.Sprintf("%.2fx", base/r.TotalEmu.Seconds())
-			}
-			fmt.Fprintf(&b, "  %-10s %8d %10.1f %9s %7d %7d %7d %7d %6d %6d\n",
-				r.Label, r.Threads, r.TotalEmu.Seconds(), speed,
-				r.Retrieval.AutotuneRaises, r.Retrieval.AutotuneDrops,
-				r.Retrieval.HintsWarmed, r.Retrieval.HintsDenied,
-				r.Retrieval.StealsCold, r.Retrieval.StealsWarm)
-		}
-		if cell.Match {
-			fmt.Fprintf(&b, "  result digests: identical across all variants ✓\n")
-		} else {
-			fmt.Fprintf(&b, "  result digests: DIVERGED — autotuning changed results\n")
-			for _, r := range cell.Rows {
-				fmt.Fprintf(&b, "    %-10s %s\n", r.Label+":", r.Digest)
-			}
-		}
-	}
-	return b.String()
+// AutotuneColumns are the autotune table's metrics: speedup over the
+// mis-tuned static-2 row, the controller's decisions, and the hint and
+// steal outcomes.
+var AutotuneColumns = []Column{
+	totalCol, speedupCol,
+	col("raises", "%d", func(r *Row) any { return r.Retrieval.AutotuneRaises }),
+	col("drops", "%d", func(r *Row) any { return r.Retrieval.AutotuneDrops }),
+	col("warmed", "%d", func(r *Row) any { return r.Retrieval.HintsWarmed }),
+	col("denied", "%d", func(r *Row) any { return r.Retrieval.HintsDenied }),
+	col("cold", "%d", func(r *Row) any { return r.Retrieval.StealsCold }),
+	col("warm", "%d", func(r *Row) any { return r.Retrieval.StealsWarm }),
 }

@@ -1,23 +1,17 @@
 package bench
 
-import (
-	"fmt"
-	"strings"
-	"time"
-
-	"cloudburst/internal/driver"
-	"cloudburst/internal/metrics"
-)
+import "fmt"
 
 // The buffer experiment measures the site-shared burst-buffer tier:
 // a per-site chunk cache service between S3 and the slaves. Three
-// variants run over the paper's retrieval-bound env-cloud setting
-// (all data in S3, cloud cores only): no buffer, a cold buffer the
-// slaves read through on demand, and a staged buffer the master also
-// fills ahead of demand from its queue-front prefetch hints. The tier
-// is a retrieval optimization, never a semantics change, so every
-// variant must produce the same result digest (the Match flag), and
-// the win — wall clock and S3 egress — is measured, not asserted.
+// variants run over the paper's retrieval-bound env-cloud setting: no
+// buffer, a cold buffer the slaves read through on demand, and a
+// staged buffer the master also fills ahead of demand from its
+// queue-front prefetch hints. Over one pass every chunk is read
+// exactly once, so the cold buffer can only add a hop while staging
+// overlaps S3 fetches with compute; over pagerank power iterations
+// iteration N+1 replays iteration N's chunks out of site-local
+// residency instead of re-paying S3 — the tier's headline case.
 
 // bufferCapBytes comfortably holds every benchmark data set (they are
 // 10,000x below the paper's sizes), so buffer effectiveness is bounded
@@ -27,207 +21,31 @@ const bufferCapBytes = 256 << 20
 // bufferHintDepth is the master hint depth driving staged variants.
 const bufferHintDepth = 4
 
-// BufferVariant names one arm of the buffer ablation.
-type BufferVariant struct {
-	Label  string
-	Buffer bool // the site buffer tier is deployed
-	Staged bool // the master stages hinted chunks into it
+// Buffer runs the ablation in env-cloud, the bufferless baseline
+// first: one pass when iters is 0, else iters pagerank power
+// iterations over one persistent buffer per HomeFetch site.
+func Buffer(spec AppSpec, sim SimParams, iters int, logf func(string, ...any)) (*Table, error) {
+	buffer := func(c *RunConfig) { c.Deploy.BufferBytes = bufferCapBytes }
+	return Sweep(cloudOnly(spec, sim, logf), iters, []Variant{
+		{Label: "no-buffer"},
+		{Label: "cold-buffer", Set: buffer},
+		{Label: "staged-buffer", Set: func(c *RunConfig) { buffer(c); c.Deploy.HintDepth = bufferHintDepth }},
+	})
 }
 
-// BufferVariants returns the ablation arms in rendering order, the
-// bufferless baseline first.
-func BufferVariants() []BufferVariant {
-	return []BufferVariant{
-		{Label: "no-buffer", Buffer: false, Staged: false},
-		{Label: "cold-buffer", Buffer: true, Staged: false},
-		{Label: "staged-buffer", Buffer: true, Staged: true},
-	}
-}
-
-// BufferRow is one variant's outcome, summed over its iterations.
-type BufferRow struct {
-	Label  string
-	Buffer bool
-	Staged bool
-	// Iterations is how many passes the row aggregates.
-	Iterations int
-	// TotalEmu is the summed emulated wall time of every iteration.
-	TotalEmu time.Duration
-	// Retrieval aggregates the pipeline counters across iterations.
-	Retrieval metrics.RetrievalReport
-	// EgressBytes is the run's true object-store egress: direct
-	// slave reads from S3 plus the buffer's own backing fetches.
-	// Everything the buffer served beyond its backing traffic was
-	// absorbed by sharing and staging.
-	EgressBytes int64
-	// Digest is the last iteration's application result digest.
-	Digest string
-}
-
-// Seconds is TotalEmu in emulated seconds (for JSON consumers).
-func (r BufferRow) Seconds() float64 { return r.TotalEmu.Seconds() }
-
-// BufferResult is one application's full ablation.
-type BufferResult struct {
-	App        string
-	Env        string
-	Iterations int
-	Rows       []BufferRow
-	// Match is true when every variant produced the same digest.
-	Match bool
-}
-
-// Row returns the named row, or nil.
-func (b *BufferResult) Row(label string) *BufferRow {
-	for i := range b.Rows {
-		if b.Rows[i].Label == label {
-			return &b.Rows[i]
+// BufferColumns are the buffer table's metrics: speedup and S3 egress
+// against the bufferless baseline, and the tier's own traffic.
+var BufferColumns = []Column{
+	totalCol, speedupCol,
+	col("hits", "%d", func(r *Row) any { return r.Retrieval.BufferHits }),
+	col("misses", "%d", func(r *Row) any { return r.Retrieval.BufferMisses }),
+	col("stagedMB", "%.1f", func(r *Row) any { return mb(r.Retrieval.StagedBytes) }),
+	col("servedMB", "%.1f", func(r *Row) any { return mb(r.Retrieval.BufferBytes) }),
+	col("egressMB", "%.1f", func(r *Row) any { return mb(r.EgressBytes) }),
+	{Head: "egress", Cell: func(t *Table, r *Row) string {
+		if base := t.Rows[0].EgressBytes; base > 0 {
+			return fmt.Sprintf("%.0f%%", 100*float64(r.EgressBytes)/float64(base))
 		}
-	}
-	return nil
-}
-
-// finish verifies digest invariance and fills the Match flag.
-func (b *BufferResult) finish() {
-	b.Match = true
-	for _, r := range b.Rows[1:] {
-		if r.Digest != b.Rows[0].Digest {
-			b.Match = false
-		}
-	}
-}
-
-// s3EgressBytes derives one run's object-store egress from its report.
-// Home reads the slaves paid directly are BytesRead minus stolen-chunk
-// traffic; reads routed through the buffer swap their full size for
-// the (smaller, shared) backing traffic the buffer actually fetched.
-func s3EgressBytes(report *metrics.RunReport) int64 {
-	var direct int64
-	for _, c := range report.Clusters {
-		direct += c.Workers.BytesRead - c.Workers.BytesRemote
-	}
-	return direct - report.Retrieval.BufferBytes + report.Retrieval.BufferBackingBytes
-}
-
-// BufferSinglePass runs the ablation over one retrieval-bound pass:
-// every chunk is read exactly once, so the cold buffer can only add a
-// hop while the staged variant overlaps S3 fetches with compute.
-func BufferSinglePass(spec AppSpec, sim SimParams, logf func(string, ...any)) (*BufferResult, error) {
-	spec = spec.withDefaults()
-	out := &BufferResult{App: spec.Name, Iterations: 1}
-	for _, v := range BufferVariants() {
-		cfg := RunConfig{
-			Spec: spec, LocalPct: 0,
-			LocalCores: 0, CloudCores: spec.CloudCores(32),
-			Sim: sim, Logf: logf,
-		}
-		if v.Buffer {
-			cfg.BufferBytes = bufferCapBytes
-		}
-		if v.Staged {
-			cfg.HintDepth = bufferHintDepth
-		}
-		res, err := Execute(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench: buffer %s %s: %w", spec.Name, v.Label, err)
-		}
-		out.Env = res.Env
-		out.Rows = append(out.Rows, BufferRow{
-			Label: v.Label, Buffer: v.Buffer, Staged: v.Staged,
-			Iterations:  1,
-			TotalEmu:    res.Report.TotalWall,
-			Retrieval:   res.Report.Retrieval,
-			EgressBytes: s3EgressBytes(res.Report),
-			Digest:      res.Report.FinalResult,
-		})
-	}
-	out.finish()
-	return out, nil
-}
-
-// BufferPageRank runs the ablation over iters pagerank power
-// iterations. The buffered arms install one persistent buffer per
-// HomeFetch site through the driver, so iteration N+1 replays
-// iteration N's chunks out of site-local residency instead of
-// re-paying S3 — the tier's headline case.
-func BufferPageRank(spec AppSpec, sim SimParams, iters int, logf func(string, ...any)) (*BufferResult, error) {
-	spec = spec.withDefaults()
-	if iters < 1 {
-		iters = 3
-	}
-	out := &BufferResult{App: spec.Name, Iterations: iters}
-	for _, v := range BufferVariants() {
-		cfg := RunConfig{
-			Spec: spec, LocalPct: 0,
-			LocalCores: 0, CloudCores: spec.CloudCores(32),
-			Sim: sim, Logf: logf,
-		}
-		if v.Staged {
-			cfg.HintDepth = bufferHintDepth
-		}
-		dep, err := BuildDeploy(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench: buffer %s %s: %w", spec.Name, v.Label, err)
-		}
-		it, err := driver.PageRank(dep.Deploy, -1) // fixed iteration count
-		if err != nil {
-			return nil, fmt.Errorf("bench: buffer %s %s: %w", spec.Name, v.Label, err)
-		}
-		it.MaxIterations = iters
-		if v.Buffer {
-			it.BufferBytes = bufferCapBytes
-		}
-		row := BufferRow{Label: v.Label, Buffer: v.Buffer, Staged: v.Staged}
-		it.OnIteration = func(_ int, _ float64, report *metrics.RunReport) {
-			row.Iterations++
-			row.TotalEmu += report.TotalWall
-			row.Retrieval.Add(report.Retrieval)
-			row.EgressBytes += s3EgressBytes(report)
-			row.Digest = report.FinalResult
-		}
-		if _, err := it.Run(); err != nil {
-			return nil, fmt.Errorf("bench: buffer %s %s: %w", spec.Name, v.Label, err)
-		}
-		out.Env = "env-cloud"
-		out.Rows = append(out.Rows, row)
-	}
-	out.finish()
-	return out, nil
-}
-
-// RenderBuffer prints one application's ablation with each variant's
-// speedup and egress saving over the bufferless baseline.
-func RenderBuffer(title string, res *BufferResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Burst buffer — %s (%s, %d iteration(s), emulated seconds)\n",
-		title, res.Env, res.Iterations)
-	fmt.Fprintf(&b, "%-14s %10s %9s %9s %9s %9s %9s %9s %9s\n",
-		"variant", "total", "speedup", "hits", "misses", "stagedMB", "servedMB", "egressMB", "egress")
-	base := res.Rows[0]
-	for _, r := range res.Rows {
-		speed := "—"
-		if base.TotalEmu > 0 && r.TotalEmu > 0 {
-			speed = fmt.Sprintf("%.2fx", base.TotalEmu.Seconds()/r.TotalEmu.Seconds())
-		}
-		saved := "—"
-		if base.EgressBytes > 0 {
-			saved = fmt.Sprintf("%.0f%%", 100*float64(r.EgressBytes)/float64(base.EgressBytes))
-		}
-		fmt.Fprintf(&b, "%-14s %10.1f %9s %9d %9d %9.1f %9.1f %9.1f %9s\n",
-			r.Label, r.TotalEmu.Seconds(), speed,
-			r.Retrieval.BufferHits, r.Retrieval.BufferMisses,
-			float64(r.Retrieval.StagedBytes)/(1<<20),
-			float64(r.Retrieval.BufferBytes)/(1<<20),
-			float64(r.EgressBytes)/(1<<20),
-			saved)
-	}
-	if res.Match {
-		fmt.Fprintf(&b, "result digests: identical across all variants ✓\n")
-	} else {
-		fmt.Fprintf(&b, "result digests: DIVERGED — the buffer changed results\n")
-		for _, r := range res.Rows {
-			fmt.Fprintf(&b, "  %-14s %s\n", r.Label+":", r.Digest)
-		}
-	}
-	return b.String()
+		return "—"
+	}},
 }

@@ -2,72 +2,41 @@ package bench
 
 import (
 	"fmt"
-	"strings"
+
+	"cloudburst/internal/cluster"
 )
 
-// ChaosResult pairs a fault-free run with its faulted twin. The
-// scenario's claim is the paper's fault-tolerance claim: injected
-// failures cost time, never correctness — the faulted run must compute
-// the identical reduction.
-type ChaosResult struct {
-	Params   ChaosParams
-	Baseline *EnvResult
-	Faulted  *EnvResult
-	// Match reports whether the two runs produced the same result
-	// digest.
-	Match bool
-}
-
 // Chaos runs the hybrid env-50/50 configuration twice — once clean,
-// once under the given fault plan — and compares the results. The
-// faulted run exercises the whole recovery stack: injected transients
-// and throttles on the S3 views, per-sub-range retries with backoff,
-// and heartbeat-based stall detection.
-func Chaos(spec AppSpec, sim SimParams, params ChaosParams, logf func(string, ...any)) (*ChaosResult, error) {
-	spec = spec.withDefaults()
-	rc := RunConfig{
-		Spec: spec, LocalPct: 50,
-		LocalCores: 4, CloudCores: 4,
-		Sim: sim, Logf: logf,
-	}
-	baseline, err := Execute(rc)
-	if err != nil {
-		return nil, fmt.Errorf("bench: chaos baseline: %w", err)
-	}
-	rc.Chaos = &params
-	faulted, err := Execute(rc)
-	if err != nil {
-		return nil, fmt.Errorf("bench: chaos run: %w", err)
-	}
-	return &ChaosResult{
-		Params:   params,
-		Baseline: baseline,
-		Faulted:  faulted,
-		Match:    baseline.Report.FinalResult == faulted.Report.FinalResult,
-	}, nil
+// once under the given fault plan — and tabulates both. The scenario's
+// claim is the paper's fault-tolerance claim: injected failures cost
+// time, never correctness, so the faulted run must compute the
+// identical reduction (the table's Match). The faulted run exercises
+// the whole recovery stack: injected transients and throttles on the
+// S3 views, per-sub-range retries with backoff, and heartbeat-based
+// stall detection.
+func Chaos(spec AppSpec, sim SimParams, params ChaosParams, logf func(string, ...any)) (*Table, error) {
+	return Sweep(RunConfig{
+		Spec: spec, LocalPct: 50, LocalCores: 4, CloudCores: 4, Sim: sim,
+		Deploy: cluster.DeployConfig{Logf: logf},
+	}, 0, []Variant{
+		{Label: "clean"},
+		{Label: "faulted", Set: func(c *RunConfig) { c.Chaos = &params }},
+	})
 }
 
-// RenderChaos prints the chaos scenario's outcome: both digests, the
-// slowdown, and the recovery counters.
-func RenderChaos(r *ChaosResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Chaos — %s, %s: fault injection vs clean run (emulated seconds)\n",
-		r.Faulted.App, r.Faulted.Env)
-	fmt.Fprintf(&b, "  fault plan: seed=%d firstN=%d transient=%.1f%% slowdown=%.1f%% heartbeat=%v\n",
-		r.Params.Seed, r.Params.FirstN,
-		100*r.Params.TransientProb, 100*r.Params.SlowDownProb, r.Params.Heartbeat)
-	fmt.Fprintf(&b, "  %-10s %12s  %s\n", "run", "total", "result")
-	fmt.Fprintf(&b, "  %-10s %12.1f  %s\n", "clean",
-		secs(r.Baseline.Report.TotalWall), r.Baseline.Report.FinalResult)
-	fmt.Fprintf(&b, "  %-10s %12.1f  %s\n", "faulted",
-		secs(r.Faulted.Report.TotalWall), r.Faulted.Report.FinalResult)
-	f := r.Faulted.Report.Faults
-	fmt.Fprintf(&b, "  injected: %d  retries: %d  backoff: %.2fs  heartbeat misses: %d\n",
-		f.Injected, f.Retries, secs(f.BackoffEmu), f.HeartbeatMisses)
-	if r.Match {
-		b.WriteString("  results match: faults cost time, not correctness\n")
-	} else {
-		b.WriteString("  RESULTS DIVERGE: fault recovery corrupted the reduction\n")
-	}
-	return b.String()
+// String describes the fault plan.
+func (p ChaosParams) String() string {
+	return fmt.Sprintf("seed=%d firstN=%d transient=%.1f%% slowdown=%.1f%% heartbeat=%v",
+		p.Seed, p.FirstN, 100*p.TransientProb, 100*p.SlowDownProb, p.Heartbeat)
+}
+
+// ChaosColumns are the chaos table's metrics: wall time, the recovery
+// counters, and each run's result.
+var ChaosColumns = []Column{
+	totalCol,
+	col("injected", "%d", func(r *Row) any { return r.Report.Faults.Injected }),
+	col("retries", "%d", func(r *Row) any { return r.Report.Faults.Retries }),
+	col("backoff", "%.2f", func(r *Row) any { return r.Report.Faults.BackoffEmu.Seconds() }),
+	col("hb-misses", "%d", func(r *Row) any { return r.Report.Faults.HeartbeatMisses }),
+	col("result", "%s", func(r *Row) any { return r.Digest }),
 }

@@ -18,48 +18,45 @@ func tinyChaos(seed int64) ChaosParams {
 }
 
 func TestChaosMatchesCleanRun(t *testing.T) {
-	r, err := Chaos(tinySpec(), tinySim(), tinyChaos(7), nil)
+	tab, err := Chaos(tinySpec(), tinySim(), tinyChaos(7), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Match {
-		t.Fatalf("faulted digest %q != clean %q",
-			r.Faulted.Report.FinalResult, r.Baseline.Report.FinalResult)
+	clean, faulted := tab.Row("clean"), tab.Row("faulted")
+	if !tab.Match {
+		t.Fatalf("faulted digest %q != clean %q", faulted.Digest, clean.Digest)
 	}
-	f := r.Faulted.Report.Faults
+	f := faulted.Report.Faults
 	if f.Injected == 0 {
 		t.Fatal("chaos run injected nothing")
 	}
 	if f.Retries == 0 || f.BackoffEmu <= 0 {
 		t.Fatalf("no retries recorded: %+v", f)
 	}
-	if b := r.Baseline.Report.Faults; b.Any() {
+	if b := clean.Report.Faults; b.Any() {
 		t.Fatalf("baseline saw faults: %+v", b)
 	}
-	out := RenderChaos(r)
-	if !strings.Contains(out, "results match") || !strings.Contains(out, "injected:") {
+	out := tab.Render("chaos", ChaosColumns)
+	if !strings.Contains(out, "results match") || !strings.Contains(out, "injected") {
 		t.Fatalf("render output:\n%s", out)
 	}
 }
 
 func TestChaosInjectionReproducible(t *testing.T) {
-	a, err := Chaos(tinySpec(), tinySim(), tinyChaos(21), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Chaos(tinySpec(), tinySim(), tinyChaos(21), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Match || !b.Match {
-		t.Fatal("chaos run diverged from clean run")
-	}
-	// FirstN injections are deterministic in the plan seed regardless
-	// of request interleaving; both runs must see at least that many.
-	if a.Faulted.Report.Faults.Injected < int64(a.Params.FirstN) ||
-		b.Faulted.Report.Faults.Injected < int64(b.Params.FirstN) {
-		t.Fatalf("injected %d / %d < firstN %d",
-			a.Faulted.Report.Faults.Injected,
-			b.Faulted.Report.Faults.Injected, a.Params.FirstN)
+	p := tinyChaos(21)
+	for i := 0; i < 2; i++ {
+		tab, err := Chaos(tinySpec(), tinySim(), p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tab.Match {
+			t.Fatal("chaos run diverged from clean run")
+		}
+		// FirstN injections are deterministic in the plan seed
+		// regardless of request interleaving; every run must see at
+		// least that many.
+		if got := tab.Row("faulted").Report.Faults.Injected; got < int64(p.FirstN) {
+			t.Fatalf("run %d injected %d < firstN %d", i, got, p.FirstN)
+		}
 	}
 }

@@ -1,10 +1,9 @@
 package bench
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
+	"cloudburst/internal/cluster"
 	"cloudburst/internal/elastic"
 	"cloudburst/internal/metrics"
 )
@@ -55,174 +54,84 @@ const (
 	elasticJobsPer = 1
 )
 
-// ElasticRow is one provisioning variant's outcome under the deadline.
-type ElasticRow struct {
-	Label string
-	// CloudCores is the variant's initial cloud worker count; Elastic
-	// marks the scaling controller as active.
-	CloudCores int
-	Elastic    bool
-	TotalEmu   time.Duration
-	// MetDeadline records TotalEmu against the shared deadline.
-	MetDeadline bool
-	// Membership churn (zero for static variants).
-	Boots, Drains, WastedBoots int
-	// Peak is the largest commanded cloud worker count.
-	Peak int
-	// InstanceSecs integrates commanded cloud workers over emulated
-	// seconds (static variants: cores x wall). EgressGiB is cross-site
-	// traffic projected to paper scale.
-	InstanceSecs float64
-	EgressGiB    float64
-	InstanceUSD  float64
-	EgressUSD    float64
-	TotalUSD     float64
-	// Events is the controller's decision trace (elastic variants).
-	Events []metrics.ScaleEvent
-	// Digest is the application result digest.
-	Digest string
+// deadlineScenario is the setup the elastic, spot and advisor
+// experiments share: the measured local-only baseline, the deadline
+// and boot latency derived from it, an env-50/50 hybrid base that
+// starts from the token cloud seed, and the paper-scale prices.
+type deadlineScenario struct {
+	base     RunConfig
+	local    Row // the local-only baseline run
+	deadline time.Duration
+	boot     time.Duration
+	// scaleUp projects egress bytes back to paper scale for the dollar
+	// figures (instance time needs no projection: emulated seconds
+	// already read at paper scale).
+	scaleUp, coreRate, egressRate float64
 }
 
-// Seconds is TotalEmu in emulated seconds (for JSON consumers).
-func (r ElasticRow) Seconds() float64 { return r.TotalEmu.Seconds() }
-
-// ElasticResult is the whole sweep for one application.
-type ElasticResult struct {
-	App        string
-	LocalCores int
-	// BaselineEmu is the measured local-only wall the deadline derives
-	// from; Deadline = elasticDeadlineFrac x BaselineEmu.
-	BaselineEmu time.Duration
-	Deadline    time.Duration
-	Rows        []ElasticRow
-	// Match is true when every row produced the same digest.
-	Match bool
-}
-
-// Row returns the row with the given label, or nil.
-func (e *ElasticResult) Row(label string) *ElasticRow {
-	for i := range e.Rows {
-		if e.Rows[i].Label == label {
-			return &e.Rows[i]
-		}
-	}
-	return nil
-}
-
-// finish verifies digest invariance and fills the Match flag.
-func (e *ElasticResult) finish() {
-	e.Match = true
-	for _, r := range e.Rows[1:] {
-		if r.Digest != e.Rows[0].Digest {
-			e.Match = false
-		}
-	}
-}
-
-// ElasticSweep measures the local-only baseline, derives the deadline
-// from it, and runs the static-over / elastic / elastic-drain variants
-// against that deadline. scaleUp projects egress bytes back to paper
-// scale for the dollar figures (instance time needs no projection:
-// emulated seconds already read at paper scale). Cloud instance time is
-// priced per emulated second — AWS moved to per-second billing after
-// the paper's 2011 testbed, and full-hour rounding would flatten every
-// sub-hour scaling decision this experiment exists to compare.
-func ElasticSweep(spec AppSpec, sim SimParams, scaleUp float64, logf func(string, ...any)) (*ElasticResult, error) {
-	spec = spec.withDefaults()
+// newDeadlineScenario runs the local-only baseline and derives the
+// scenario from it.
+func newDeadlineScenario(spec AppSpec, sim SimParams, scaleUp float64, logf func(string, ...any)) (*deadlineScenario, error) {
 	prices := AWS2011()
-	coreRate := prices.InstancePerHour / float64(prices.CoresPerInstance)
-
 	base := RunConfig{
-		Spec: spec, LocalPct: 100, LocalCores: elasticLocalCores,
-		Sim: sim, Batch: elasticBatch, JobsPerRequest: elasticJobsPer,
-		Logf: logf,
+		Spec: spec.withDefaults(), LocalPct: 100, LocalCores: elasticLocalCores, Sim: sim,
+		Deploy: cluster.DeployConfig{Batch: elasticBatch, JobsPerRequest: elasticJobsPer, Logf: logf},
 	}
-	out := &ElasticResult{App: spec.Name, LocalCores: elasticLocalCores}
-
-	res, err := Execute(base)
+	local, err := Sweep(base, 0, []Variant{{Label: "local-only"}})
 	if err != nil {
-		return nil, fmt.Errorf("bench: elastic %s local-only: %w", spec.Name, err)
+		return nil, err
 	}
-	out.BaselineEmu = res.Report.TotalWall
-	out.Deadline = time.Duration(float64(out.BaselineEmu) * elasticDeadlineFrac)
-	boot := time.Duration(float64(out.BaselineEmu) * elasticBootFrac)
-	out.Rows = append(out.Rows, staticElasticRow("local-only", res, out.Deadline, scaleUp, coreRate, prices.EgressPerGB))
-
-	// Workers is left nil: the deployment seeds it from the site specs,
-	// so each variant's initial cloud cores become the starting target.
-	ctrl := func() *elastic.Config {
-		return &elastic.Config{
-			Site:         "cloud",
-			Deadline:     out.Deadline,
-			MinWorkers:   1,
-			MaxWorkers:   elasticCloudOver,
-			StepUp:       elasticStepUp,
-			BootLatency:  boot,
-			InstanceRate: coreRate,
-			EgressRate:   prices.EgressPerGB,
-			Logf:         logf,
-		}
-	}
-	variants := []struct {
-		label      string
-		cloudCores int
-		elastic    bool
-	}{
-		{"static-over", elasticCloudOver, false},
-		{"elastic", elasticCloudSeed, true},
-		{"elastic-drain", elasticCloudOver, true},
-	}
-	for _, v := range variants {
-		cfg := RunConfig{
-			Spec: spec, LocalPct: 50, LocalCores: elasticLocalCores,
-			CloudCores: v.cloudCores, Sim: sim,
-			Batch: elasticBatch, JobsPerRequest: elasticJobsPer,
-			Logf: logf,
-		}
-		if v.elastic {
-			cfg.Elastic = ctrl()
-		}
-		res, err := Execute(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench: elastic %s %s: %w", spec.Name, v.label, err)
-		}
-		if v.elastic {
-			el := res.Report.Elastic
-			if el == nil {
-				return nil, fmt.Errorf("bench: elastic %s %s: run produced no elastic report", spec.Name, v.label)
-			}
-			row := ElasticRow{
-				Label: v.label, CloudCores: v.cloudCores, Elastic: true,
-				TotalEmu:    res.Report.TotalWall,
-				MetDeadline: res.Report.TotalWall <= out.Deadline,
-				Boots:       el.Boots, Drains: el.Drains,
-				WastedBoots: el.WastedBoots, Peak: el.Peak,
-				Events: el.Events,
-				Digest: res.Report.FinalResult,
-			}
-			fillElasticCost(&row, el.InstanceSecs, egressBytes(res.Report), scaleUp, coreRate, prices.EgressPerGB)
-			out.Rows = append(out.Rows, row)
-		} else {
-			out.Rows = append(out.Rows, staticElasticRow(v.label, res, out.Deadline, scaleUp, coreRate, prices.EgressPerGB))
-		}
-	}
-	out.finish()
-	return out, nil
+	wall := local.Rows[0].TotalEmu
+	base.LocalPct, base.CloudCores = 50, elasticCloudSeed
+	return &deadlineScenario{
+		base: base, local: local.Rows[0],
+		deadline: time.Duration(float64(wall) * elasticDeadlineFrac),
+		boot:     time.Duration(float64(wall) * elasticBootFrac),
+		scaleUp:  scaleUp, coreRate: prices.InstancePerHour / float64(prices.CoresPerInstance),
+		egressRate: prices.EgressPerGB,
+	}, nil
 }
 
-// staticElasticRow prices a fixed-membership run the same way the
-// controller prices itself: cloud cores billed wall-to-wall.
-func staticElasticRow(label string, res *EnvResult, deadline time.Duration, scaleUp, coreRate, egressRate float64) ElasticRow {
-	row := ElasticRow{
-		Label: label, CloudCores: res.CloudCores,
-		TotalEmu:    res.Report.TotalWall,
-		MetDeadline: res.Report.TotalWall <= deadline,
-		Peak:        res.CloudCores,
-		Digest:      res.Report.FinalResult,
+// controller returns the cloud site's scaling controller under the
+// scenario's deadline. Workers is left nil: the deployment seeds it
+// from the site specs, so each variant's initial cloud cores become
+// the starting target.
+func (d *deadlineScenario) controller() *elastic.Config {
+	return &elastic.Config{
+		Site:         "cloud",
+		Deadline:     d.deadline,
+		MinWorkers:   1,
+		MaxWorkers:   elasticCloudOver,
+		StepUp:       elasticStepUp,
+		BootLatency:  d.boot,
+		InstanceRate: d.coreRate,
+		EgressRate:   d.egressRate,
+		Logf:         d.base.Deploy.Logf,
 	}
-	instSecs := float64(res.CloudCores) * res.Report.TotalWall.Seconds()
-	fillElasticCost(&row, instSecs, egressBytes(res.Report), scaleUp, coreRate, egressRate)
-	return row
+}
+
+// finish stamps the scenario onto t and prices every row: controller
+// runs are billed what the controller metered (split by tier when the
+// spot tier is active), static runs their cloud cores wall-to-wall, and
+// both pay cross-site egress projected to paper scale. Cloud instance
+// time is priced per emulated second — AWS moved to per-second billing
+// after the paper's 2011 testbed, and full-hour rounding would flatten
+// every sub-hour scaling decision these experiments exist to compare.
+func (d *deadlineScenario) finish(t *Table) {
+	t.Baseline, t.Deadline = d.local.TotalEmu, d.deadline
+	for i := range t.Rows {
+		r := &t.Rows[i]
+		r.MetDeadline = r.TotalEmu <= d.deadline
+		egress := int64(float64(egressBytes(r.Report)) * d.scaleUp)
+		r.EgressGiB = float64(egress) / (1 << 30)
+		r.InstanceSecs = float64(r.CloudCores) * r.TotalEmu.Seconds()
+		r.InstanceUSD, r.EgressUSD, _ = elastic.Cost(r.InstanceSecs, egress, d.coreRate, d.egressRate)
+		if r.scaled() {
+			r.InstanceSecs, r.InstanceUSD = r.Elastic.InstanceSecs, r.Elastic.InstanceUSD
+		}
+		r.TotalUSD = r.InstanceUSD + r.EgressUSD
+	}
+	t.match()
 }
 
 // egressBytes sums cross-site traffic over every cluster, matching the
@@ -235,50 +144,53 @@ func egressBytes(rep *metrics.RunReport) int64 {
 	return total
 }
 
-func fillElasticCost(row *ElasticRow, instSecs float64, egress int64, scaleUp, coreRate, egressRate float64) {
-	scaled := int64(float64(egress) * scaleUp)
-	row.InstanceSecs = instSecs
-	row.EgressGiB = float64(scaled) / (1 << 30)
-	row.InstanceUSD, row.EgressUSD, row.TotalUSD = elastic.Cost(instSecs, scaled, coreRate, egressRate)
+// ElasticSweep measures the local-only baseline, derives the deadline
+// from it, and runs the static-over / elastic / elastic-drain variants
+// against that deadline; the local-only run is the table's first row.
+// scaleUp projects egress bytes back to paper scale for the dollar
+// figures.
+func ElasticSweep(spec AppSpec, sim SimParams, scaleUp float64, logf func(string, ...any)) (*Table, error) {
+	d, err := newDeadlineScenario(spec, sim, scaleUp, logf)
+	if err != nil {
+		return nil, err
+	}
+	t, err := Sweep(d.base, 0, []Variant{
+		{Label: "static-over", Set: func(c *RunConfig) { c.CloudCores = elasticCloudOver }},
+		{Label: "elastic", Set: func(c *RunConfig) { c.Deploy.Elastic = d.controller() }},
+		{Label: "elastic-drain", Set: func(c *RunConfig) {
+			c.CloudCores, c.Deploy.Elastic = elasticCloudOver, d.controller()
+		}},
+	})
+	if err != nil {
+		return nil, err
+	}
+	t.Rows = append([]Row{d.local}, t.Rows...)
+	d.finish(t)
+	return t, nil
 }
 
-// RenderElastic prints the deadline sweep with each variant's
-// membership churn and projected dollar cost.
-func RenderElastic(title string, res *ElasticResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Deadline sweep — %s (local %d cores; deadline %.1fs = %.0f%% of local-only %.1fs)\n",
-		title, res.LocalCores, res.Deadline.Seconds(),
-		elasticDeadlineFrac*100, res.BaselineEmu.Seconds())
-	fmt.Fprintf(&b, "  %-14s %6s %8s %9s %6s %7s %5s %8s %8s %8s %9s\n",
-		"variant", "cloud", "total", "deadline", "boots", "drains", "peak", "inst-s", "inst $", "egress $", "total $")
-	for _, r := range res.Rows {
-		met := "met ✓"
-		if !r.MetDeadline {
-			met = "MISS ✗"
-		}
-		fmt.Fprintf(&b, "  %-14s %6d %8.1f %9s %6d %7d %5d %8.0f %8.4f %8.4f %9.4f\n",
-			r.Label, r.CloudCores, r.TotalEmu.Seconds(), met,
-			r.Boots, r.Drains, r.Peak, r.InstanceSecs,
-			r.InstanceUSD, r.EgressUSD, r.TotalUSD)
+// scaled reports whether a scaling controller ran.
+func (r *Row) scaled() bool { return r.Elastic.Site != "" }
+
+// peak is the largest commanded cloud worker count: the controller's
+// peak, or a static run's fixed fleet.
+func (r *Row) peak() int {
+	if r.scaled() {
+		return r.Elastic.Peak
 	}
-	for _, r := range res.Rows {
-		if len(r.Events) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "  %s decisions:", r.Label)
-		for _, ev := range r.Events {
-			fmt.Fprintf(&b, " [%.1fs %d→%d %s]",
-				ev.AtEmu.Seconds(), ev.From, ev.To, ev.Reason)
-		}
-		fmt.Fprintf(&b, "\n")
-	}
-	if res.Match {
-		fmt.Fprintf(&b, "  result digests: identical across all variants ✓\n")
-	} else {
-		fmt.Fprintf(&b, "  result digests: DIVERGED — membership churn changed results\n")
-		for _, r := range res.Rows {
-			fmt.Fprintf(&b, "    %-14s %s\n", r.Label+":", r.Digest)
-		}
-	}
-	return b.String()
+	return r.CloudCores
+}
+
+// ElasticColumns are the deadline sweep's metrics: the deadline
+// outcome, membership churn, and the projected bill.
+var ElasticColumns = []Column{
+	col("cloud", "%d", func(r *Row) any { return r.CloudCores }),
+	totalCol, deadlineCol,
+	col("boots", "%d", func(r *Row) any { return r.Elastic.Boots }),
+	col("drains", "%d", func(r *Row) any { return r.Elastic.Drains }),
+	col("peak", "%d", func(r *Row) any { return r.peak() }),
+	col("inst-s", "%.0f", func(r *Row) any { return r.InstanceSecs }),
+	col("inst $", "%.4f", func(r *Row) any { return r.InstanceUSD }),
+	col("egress $", "%.4f", func(r *Row) any { return r.EgressUSD }),
+	col("total $", "%.4f", func(r *Row) any { return r.TotalUSD }),
 }

@@ -33,16 +33,16 @@ func Fig3(spec AppSpec, sim SimParams, logf func(string, ...any)) ([]EnvResult, 
 	spec = spec.withDefaults()
 	base := 32
 	half := base / 2
+	deploy := cluster.DeployConfig{SyncMode: paperSync, Logf: logf}
 	runs := []RunConfig{
-		{Spec: spec, LocalPct: 100, LocalCores: base, CloudCores: 0, Sim: sim, Logf: logf},
-		{Spec: spec, LocalPct: 0, LocalCores: 0, CloudCores: spec.CloudCores(base), Sim: sim, Logf: logf},
-		{Spec: spec, LocalPct: 50, LocalCores: half, CloudCores: spec.CloudCores(half), Sim: sim, Logf: logf},
-		{Spec: spec, LocalPct: 33, LocalCores: half, CloudCores: spec.CloudCores(half), Sim: sim, Logf: logf},
-		{Spec: spec, LocalPct: 17, LocalCores: half, CloudCores: spec.CloudCores(half), Sim: sim, Logf: logf},
+		{Spec: spec, LocalPct: 100, LocalCores: base, CloudCores: 0, Sim: sim, Deploy: deploy},
+		{Spec: spec, LocalPct: 0, LocalCores: 0, CloudCores: spec.CloudCores(base), Sim: sim, Deploy: deploy},
+		{Spec: spec, LocalPct: 50, LocalCores: half, CloudCores: spec.CloudCores(half), Sim: sim, Deploy: deploy},
+		{Spec: spec, LocalPct: 33, LocalCores: half, CloudCores: spec.CloudCores(half), Sim: sim, Deploy: deploy},
+		{Spec: spec, LocalPct: 17, LocalCores: half, CloudCores: spec.CloudCores(half), Sim: sim, Deploy: deploy},
 	}
 	var out []EnvResult
 	for _, rc := range runs {
-		rc.SyncMode = paperSync
 		res, err := Execute(rc)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s %s: %w", spec.Name, envName(rc), err)
@@ -61,7 +61,7 @@ func Fig4(spec AppSpec, sim SimParams, logf func(string, ...any)) ([]EnvResult, 
 		res, err := Execute(RunConfig{
 			Spec: spec, LocalPct: 0,
 			LocalCores: m, CloudCores: spec.CloudCores(m),
-			Sim: sim, SyncMode: paperSync, Logf: logf,
+			Sim: sim, Deploy: cluster.DeployConfig{SyncMode: paperSync, Logf: logf},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s (%d,%d): %w", spec.Name, m, spec.CloudCores(m), err)

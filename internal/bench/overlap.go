@@ -2,11 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
-	"cloudburst/internal/driver"
-	"cloudburst/internal/metrics"
+	"cloudburst/internal/cluster"
 )
 
 // The overlap experiment ablates the slave retrieval pipeline: the
@@ -14,183 +11,50 @@ import (
 // a retrieval-bound single pass (knn, all data in S3) and once over a
 // multi-pass algorithm (pagerank power iterations), where the cache
 // additionally converts every pass after the first into warm reads.
-// Results must be bit-identical across variants — the pipeline is an
-// optimization, never a semantics change — and the Match flag records
-// that check.
 
 // overlapCacheBytes comfortably holds every benchmark data set (they
 // are 10,000x below the paper's sizes), so cache effectiveness is
 // bounded by access patterns, not capacity.
 const overlapCacheBytes = 256 << 20
 
-// OverlapVariant names one corner of the prefetch x cache grid.
-type OverlapVariant struct {
-	Label    string
-	Prefetch bool
-	Cache    bool
-}
-
-// OverlapVariants returns the ablation grid in rendering order, the
-// no-overlap baseline first.
-func OverlapVariants() []OverlapVariant {
-	return []OverlapVariant{
-		{Label: "baseline", Prefetch: false, Cache: false},
-		{Label: "prefetch", Prefetch: true, Cache: false},
-		{Label: "cache", Prefetch: false, Cache: true},
-		{Label: "prefetch+cache", Prefetch: true, Cache: true},
+// cloudOnly is the paper's retrieval-bound env-cloud (Figure 3's
+// retrieval-dominated bars): all data in S3, cloud cores only.
+func cloudOnly(spec AppSpec, sim SimParams, logf func(string, ...any)) RunConfig {
+	return RunConfig{
+		Spec: spec, CloudCores: spec.withDefaults().CloudCores(32), Sim: sim,
+		Deploy: cluster.DeployConfig{Logf: logf},
 	}
 }
 
-// OverlapRow is one variant's outcome, summed over its iterations.
-type OverlapRow struct {
-	Label      string
-	Prefetch   bool
-	Cache      bool
-	Iterations int
-	// TotalEmu is the summed emulated wall time of every iteration.
-	TotalEmu time.Duration
-	// Retrieval aggregates the pipeline counters across iterations.
-	Retrieval metrics.RetrievalReport
-	// Digest is the last iteration's application result digest.
-	Digest string
+// Overlap runs the grid in env-cloud, the no-overlap baseline first:
+// one pass when iters is 0 (the cache sees each chunk once and only
+// records misses), else iters pagerank power iterations over one
+// persistent cache per site.
+func Overlap(spec AppSpec, sim SimParams, iters int, logf func(string, ...any)) (*Table, error) {
+	prefetch := func(c *RunConfig) { c.Deploy.Prefetch = true }
+	cache := func(c *RunConfig) { c.Deploy.CacheBytes = overlapCacheBytes }
+	return Sweep(cloudOnly(spec, sim, logf), iters, []Variant{
+		{Label: "baseline"},
+		{Label: "prefetch", Set: prefetch},
+		{Label: "cache", Set: cache},
+		{Label: "prefetch+cache", Set: func(c *RunConfig) { prefetch(c); cache(c) }},
+	})
 }
 
-// Seconds is TotalEmu in emulated seconds (for JSON consumers).
-func (r OverlapRow) Seconds() float64 { return r.TotalEmu.Seconds() }
-
-// OverlapResult is one application's full grid.
-type OverlapResult struct {
-	App        string
-	Env        string
-	Iterations int
-	Rows       []OverlapRow
-	// Match is true when every variant produced the same digest.
-	Match bool
-}
-
-// finish verifies digest invariance and fills the Match flag.
-func (o *OverlapResult) finish() {
-	o.Match = true
-	for _, r := range o.Rows[1:] {
-		if r.Digest != o.Rows[0].Digest {
-			o.Match = false
+// OverlapColumns are the overlap table's metrics: each variant's
+// speedup over the baseline, the work prefetch hid, and cache and
+// buffer-pool effectiveness.
+var OverlapColumns = []Column{
+	totalCol, speedupCol,
+	col("prefetched", "%d", func(r *Row) any { return r.Retrieval.PrefetchedJobs }),
+	col("hidden(s)", "%.1f", func(r *Row) any { return r.Retrieval.PrefetchSavedEmu.Seconds() }),
+	col("hits", "%d", func(r *Row) any { return r.Retrieval.CacheHits }),
+	col("misses", "%d", func(r *Row) any { return r.Retrieval.CacheMisses }),
+	col("savedMB", "%.1f", func(r *Row) any { return mb(r.Retrieval.CacheBytesSaved) }),
+	col("poolReuse", "%s", func(r *Row) any {
+		if r.Retrieval.PoolGets == 0 {
+			return "—"
 		}
-	}
-}
-
-// OverlapSinglePass runs the grid over one retrieval-bound pass: all
-// data in S3, cloud cores only (the paper's env-cloud, where Figure 3
-// shows retrieval dominating). Prefetch hides fetches behind compute;
-// the cache sees each chunk once and only records misses.
-func OverlapSinglePass(spec AppSpec, sim SimParams, logf func(string, ...any)) (*OverlapResult, error) {
-	spec = spec.withDefaults()
-	out := &OverlapResult{App: spec.Name, Iterations: 1}
-	for _, v := range OverlapVariants() {
-		cfg := RunConfig{
-			Spec: spec, LocalPct: 0,
-			LocalCores: 0, CloudCores: spec.CloudCores(32),
-			Sim: sim, Logf: logf,
-			Prefetch: v.Prefetch,
-		}
-		if v.Cache {
-			cfg.CacheBytes = overlapCacheBytes
-		}
-		res, err := Execute(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench: overlap %s %s: %w", spec.Name, v.Label, err)
-		}
-		out.Env = res.Env
-		out.Rows = append(out.Rows, OverlapRow{
-			Label: v.Label, Prefetch: v.Prefetch, Cache: v.Cache,
-			Iterations: 1,
-			TotalEmu:   res.Report.TotalWall,
-			Retrieval:  res.Report.Retrieval,
-			Digest:     res.Report.FinalResult,
-		})
-	}
-	out.finish()
-	return out, nil
-}
-
-// OverlapPageRank runs the grid over iters pagerank power iterations
-// (all data in S3, cloud cores only). The cache arm installs one
-// persistent cache per site through the driver, so every pass after
-// the first reads warm chunks instead of re-paying S3 retrieval.
-func OverlapPageRank(spec AppSpec, sim SimParams, iters int, logf func(string, ...any)) (*OverlapResult, error) {
-	spec = spec.withDefaults()
-	if iters < 1 {
-		iters = 3
-	}
-	out := &OverlapResult{App: spec.Name, Iterations: iters}
-	for _, v := range OverlapVariants() {
-		cfg := RunConfig{
-			Spec: spec, LocalPct: 0,
-			LocalCores: 0, CloudCores: spec.CloudCores(32),
-			Sim: sim, Logf: logf,
-			Prefetch: v.Prefetch,
-		}
-		dep, err := BuildDeploy(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench: overlap %s %s: %w", spec.Name, v.Label, err)
-		}
-		it, err := driver.PageRank(dep.Deploy, -1) // fixed iteration count
-		if err != nil {
-			return nil, fmt.Errorf("bench: overlap %s %s: %w", spec.Name, v.Label, err)
-		}
-		it.MaxIterations = iters
-		if v.Cache {
-			it.CacheBytes = overlapCacheBytes
-		}
-		row := OverlapRow{Label: v.Label, Prefetch: v.Prefetch, Cache: v.Cache}
-		it.OnIteration = func(_ int, _ float64, report *metrics.RunReport) {
-			row.Iterations++
-			row.TotalEmu += report.TotalWall
-			row.Retrieval.Add(report.Retrieval)
-			row.Digest = report.FinalResult
-		}
-		if _, err := it.Run(); err != nil {
-			return nil, fmt.Errorf("bench: overlap %s %s: %w", spec.Name, v.Label, err)
-		}
-		out.Env = "env-cloud"
-		out.Rows = append(out.Rows, row)
-	}
-	out.finish()
-	return out, nil
-}
-
-// RenderOverlap prints one application's grid with the speedup each
-// variant achieves over the no-overlap baseline.
-func RenderOverlap(title string, res *OverlapResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Overlap ablation — %s (%s, %d iteration(s), emulated seconds)\n",
-		title, res.Env, res.Iterations)
-	fmt.Fprintf(&b, "%-16s %10s %9s %10s %10s %9s %9s %9s %10s\n",
-		"variant", "total", "speedup", "prefetched", "hidden(s)", "hits", "misses", "savedMB", "poolReuse")
-	base := res.Rows[0].TotalEmu.Seconds()
-	for _, r := range res.Rows {
-		speed := "—"
-		if base > 0 && r.TotalEmu > 0 {
-			speed = fmt.Sprintf("%.2fx", base/r.TotalEmu.Seconds())
-		}
-		reuse := "—"
-		if r.Retrieval.PoolGets > 0 {
-			reuse = fmt.Sprintf("%.0f%%",
-				100*float64(r.Retrieval.PoolGets-r.Retrieval.PoolMisses)/float64(r.Retrieval.PoolGets))
-		}
-		fmt.Fprintf(&b, "%-16s %10.1f %9s %10d %10.1f %9d %9d %9.1f %10s\n",
-			r.Label, r.TotalEmu.Seconds(), speed,
-			r.Retrieval.PrefetchedJobs, r.Retrieval.PrefetchSavedEmu.Seconds(),
-			r.Retrieval.CacheHits, r.Retrieval.CacheMisses,
-			float64(r.Retrieval.CacheBytesSaved)/(1<<20),
-			reuse)
-	}
-	if res.Match {
-		fmt.Fprintf(&b, "result digests: identical across all variants ✓\n")
-	} else {
-		fmt.Fprintf(&b, "result digests: DIVERGED — the pipeline changed results\n")
-		for _, r := range res.Rows {
-			fmt.Fprintf(&b, "  %-16s %s\n", r.Label+":", r.Digest)
-		}
-	}
-	return b.String()
+		return fmt.Sprintf("%.0f%%", 100*float64(r.Retrieval.PoolGets-r.Retrieval.PoolMisses)/float64(r.Retrieval.PoolGets))
+	}),
 }

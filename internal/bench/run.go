@@ -8,7 +8,6 @@ import (
 	"cloudburst/internal/apps"
 	"cloudburst/internal/chunk"
 	"cloudburst/internal/cluster"
-	"cloudburst/internal/elastic"
 	"cloudburst/internal/faults"
 	"cloudburst/internal/gr"
 	"cloudburst/internal/metrics"
@@ -179,56 +178,17 @@ type RunConfig struct {
 	LocalCores int
 	CloudCores int
 	Sim        SimParams
-	// Scatter disables consecutive-job assignment (ablation knob).
-	Scatter bool
-	// Batch overrides the master's refill batch size (0 = default).
-	Batch int
-	// JobsPerRequest overrides the slaves' per-request job count
-	// (large values approximate static partitioning; ablation knob).
-	JobsPerRequest int
 	// CloudJitter spreads cloud core speeds by ±CloudJitter, modeling
 	// EC2 performance variability.
 	CloudJitter float64
-	// Prefetch turns on the slave retrieval pipeline: each core
-	// requests and fetches its next grant while the current one
-	// reduces, hiding retrieval behind compute.
-	Prefetch bool
-	// PrefetchBudget caps per-slave in-flight prefetched bytes (zero
-	// picks the slave default, negative is unlimited).
-	PrefetchBudget int64
-	// FetchAutotune replaces the static Sim.FetchThreads with per-link
-	// AIMD controllers on every slave (Sim.FetchThreads seeds them).
-	FetchAutotune bool
-	// HintDepth piggybacks up to this many likely-next jobs as
-	// prefetch hints on every master grant (zero disables hints).
-	HintDepth int
-	// CacheBytes gives every site a chunk cache of this many bytes
-	// (zero disables caching).
-	CacheBytes int64
-	// BufferBytes gives every HomeFetch site a burst buffer of this
-	// capacity between its slaves and S3 (zero disables the tier).
-	BufferBytes int64
-	// StageBudget caps the bytes each master stages into its site's
-	// buffer (zero = unlimited; meaningful with BufferBytes+HintDepth).
-	StageBudget int64
 	// Chaos, when set, injects faults into the run (see ChaosParams).
 	Chaos *ChaosParams
-	// Elastic, when set, runs the deadline/cost scaling controller for
-	// one site (see cluster.DeployConfig.Elastic).
-	Elastic *elastic.Config
-	// Revocations, when set, preempts provisioned spot workers on the
-	// trace's schedule (see cluster.DeployConfig.Revocations).
-	Revocations *faults.RevocationTrace
-	// CheckpointJobs ships a partial-reduction checkpoint from every
-	// slave each N processed jobs (zero disables).
-	CheckpointJobs int
-	// SyncMode selects the global-reduction sync strategy (see
-	// cluster.DeployConfig.SyncMode); empty picks streamed-parallel.
-	SyncMode string
-	// MergeCost charges combine folds an emulated duration per byte
-	// (see cluster.DeployConfig.MergeCost); zero charges nothing.
-	MergeCost time.Duration
-	Logf      func(format string, args ...any)
+	// Deploy carries the middleware knobs (assignment, batching,
+	// prefetch, caches, buffer, elastic control, revocations,
+	// checkpoints, sync mode, logging) through to the deployment;
+	// BuildDeploy fills in App, Index, Sites, Clock, Fetch, GroupUnits
+	// and the chaos heartbeat.
+	Deploy cluster.DeployConfig
 }
 
 // EnvResult is one configuration's outcome.
@@ -321,16 +281,15 @@ func BuildDeploy(cfg RunConfig) (*Deployment, error) {
 	// Chaos runs inject faults into every S3-backed view (the paths
 	// that model a flaky object store) and enable retries + liveness.
 	var plan *faults.Plan
-	fetch := store.FetchOptions{
+	deploy := cfg.Deploy
+	deploy.Fetch = store.FetchOptions{
 		Threads: cfg.Sim.FetchThreads, RangeSize: cfg.Sim.FetchRange,
 	}
-	var heartbeat time.Duration
-	misses := 0
 	if cfg.Chaos != nil {
 		plan = cfg.Chaos.plan()
-		fetch.Retry = cfg.Chaos.retry()
-		heartbeat = cfg.Chaos.Heartbeat
-		misses = cfg.Chaos.Misses
+		deploy.Fetch.Retry = cfg.Chaos.retry()
+		deploy.HeartbeatInterval = cfg.Chaos.Heartbeat
+		deploy.HeartbeatMisses = cfg.Chaos.Misses
 	}
 
 	var sites []cluster.SiteSpec
@@ -371,32 +330,9 @@ func BuildDeploy(cfg RunConfig) (*Deployment, error) {
 		})
 	}
 
-	return &Deployment{
-		Deploy: cluster.DeployConfig{
-			App: app, Index: idx, Sites: sites, Clock: clk,
-			GroupUnits:        cfg.Sim.GroupUnits,
-			Fetch:             fetch,
-			Scatter:           cfg.Scatter,
-			Batch:             cfg.Batch,
-			JobsPerRequest:    cfg.JobsPerRequest,
-			Prefetch:          cfg.Prefetch,
-			PrefetchBudget:    cfg.PrefetchBudget,
-			FetchAutotune:     cfg.FetchAutotune,
-			HintDepth:         cfg.HintDepth,
-			CacheBytes:        cfg.CacheBytes,
-			BufferBytes:       cfg.BufferBytes,
-			StageBudget:       cfg.StageBudget,
-			HeartbeatInterval: heartbeat,
-			HeartbeatMisses:   misses,
-			Elastic:           cfg.Elastic,
-			Revocations:       cfg.Revocations,
-			CheckpointJobs:    cfg.CheckpointJobs,
-			SyncMode:          cfg.SyncMode,
-			MergeCost:         cfg.MergeCost,
-			Logf:              cfg.Logf,
-		},
-		Plan: plan,
-	}, nil
+	deploy.App, deploy.Index, deploy.Sites, deploy.Clock = app, idx, sites, clk
+	deploy.GroupUnits = cfg.Sim.GroupUnits
+	return &Deployment{Deploy: deploy, Plan: plan}, nil
 }
 
 // Execute runs one configuration through the full middleware stack:

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
-	"cloudburst/internal/elastic"
 	"cloudburst/internal/faults"
 )
 
@@ -45,204 +43,65 @@ const (
 	spotTraceSeed = 11
 )
 
-// SpotRow is one recovery configuration's outcome under the shared
-// deadline and revocation schedule.
-type SpotRow struct {
-	Label string
-	// CheckpointJobs is the variant's checkpoint cadence (0 = off).
-	CheckpointJobs int
-	TotalEmu       time.Duration
-	MetDeadline    bool
-	// Trace-side outcomes.
-	Revocations, Warned, Unwarned       int
-	DrainsCompleted, DrainsAborted      int
-	CheckpointsSent, CheckpointsAdopted int
-	// JobsRecovered were saved from re-execution by adopted
-	// checkpoints; JobsRequeued went back to the queue when a victim
-	// died; JobsAbandoned were given up by warned drains.
-	JobsRecovered, JobsRequeued, JobsAbandoned int
-	// Membership and billing (spot vs on-demand tiers).
-	Boots, Replacements, OnDemandWorkers int
-	SpotUSD, OnDemandUSD, TotalUSD       float64
-	Digest                               string
-}
-
-// Seconds is TotalEmu in emulated seconds (for JSON consumers).
-func (r SpotRow) Seconds() float64 { return r.TotalEmu.Seconds() }
-
-// SpotResult is the whole preemption sweep for one application.
-type SpotResult struct {
-	App         string
-	LocalCores  int
-	BaselineEmu time.Duration
-	Deadline    time.Duration
-	Rows        []SpotRow
-	// Match is true when every row produced the same digest.
-	Match bool
-}
-
-// Row returns the row with the given label, or nil.
-func (e *SpotResult) Row(label string) *SpotRow {
-	for i := range e.Rows {
-		if e.Rows[i].Label == label {
-			return &e.Rows[i]
-		}
-	}
-	return nil
-}
-
-func (e *SpotResult) finish() {
-	e.Match = true
-	for _, r := range e.Rows[1:] {
-		if r.Digest != e.Rows[0].Digest {
-			e.Match = false
-		}
-	}
-}
-
 // SpotSweep measures the local-only baseline, derives the deadline and
 // the revocation schedule from it, and replays the schedule against
-// the recovery variants. scaleUp projects egress to paper scale for
-// the dollar figures, as in ElasticSweep.
-func SpotSweep(spec AppSpec, sim SimParams, scaleUp float64, logf func(string, ...any)) (*SpotResult, error) {
-	spec = spec.withDefaults()
-	prices := AWS2011()
-	coreRate := prices.InstancePerHour / float64(prices.CoresPerInstance)
-
-	base := RunConfig{
-		Spec: spec, LocalPct: 100, LocalCores: elasticLocalCores,
-		Sim: sim, Batch: elasticBatch, JobsPerRequest: elasticJobsPer,
-		Logf: logf,
-	}
-	res, err := Execute(base)
+// the recovery variants, every one bursting from the spot tier with an
+// on-demand fallback. scaleUp projects egress to paper scale for the
+// dollar figures, as in ElasticSweep.
+func SpotSweep(spec AppSpec, sim SimParams, scaleUp float64, logf func(string, ...any)) (*Table, error) {
+	d, err := newDeadlineScenario(spec, sim, scaleUp, logf)
 	if err != nil {
-		return nil, fmt.Errorf("bench: spot %s local-only: %w", spec.Name, err)
+		return nil, err
 	}
-	out := &SpotResult{
-		App: spec.Name, LocalCores: elasticLocalCores,
-		BaselineEmu: res.Report.TotalWall,
-	}
-	out.Deadline = time.Duration(float64(out.BaselineEmu) * elasticDeadlineFrac)
-	boot := time.Duration(float64(out.BaselineEmu) * elasticBootFrac)
-	warning := time.Duration(float64(out.BaselineEmu) * spotWarnFrac)
-
-	ctrl := func() *elastic.Config {
-		return &elastic.Config{
-			Site:             "cloud",
-			Deadline:         out.Deadline,
-			MinWorkers:       1,
-			MaxWorkers:       elasticCloudOver,
-			StepUp:           elasticStepUp,
-			BootLatency:      boot,
-			InstanceRate:     coreRate,
-			EgressRate:       prices.EgressPerGB,
-			SpotRate:         coreRate * spotRateFrac,
-			OnDemandFallback: spotODFallback,
-			Logf:             logf,
-		}
-	}
+	wall := d.local.TotalEmu
+	frac := func(f float64) time.Duration { return time.Duration(float64(wall) * f) }
 	trace := func(warnedFrac float64) *faults.RevocationTrace {
 		return faults.NewRevocationTrace(spotTraceSeed, faults.RevocationSpec{
 			Site:       "cloud",
 			Count:      spotRevocations,
 			WarnedFrac: warnedFrac,
-			Warning:    warning,
-			Start:      time.Duration(float64(out.BaselineEmu) * spotStartFrac),
-			Spread:     time.Duration(float64(out.BaselineEmu) * spotSpreadFrac),
+			Warning:    frac(spotWarnFrac),
+			Start:      frac(spotStartFrac),
+			Spread:     frac(spotSpreadFrac),
 		})
 	}
-	variants := []struct {
-		label      string
-		trace      *faults.RevocationTrace
-		checkpoint int
-	}{
-		{"clean", nil, 0},
-		{"warned-drain", trace(1), 0},
-		{"unwarned-kill", trace(0), spotCheckpointJobs},
-		{"unwarned-nockpt", trace(0), 0},
+	run := func(trace *faults.RevocationTrace, checkpoint int) func(*RunConfig) {
+		return func(c *RunConfig) {
+			c.Deploy.Elastic = d.controller()
+			c.Deploy.Elastic.SpotRate = d.coreRate * spotRateFrac
+			c.Deploy.Elastic.OnDemandFallback = spotODFallback
+			c.Deploy.Revocations, c.Deploy.CheckpointJobs = trace, checkpoint
+		}
 	}
-	for _, v := range variants {
-		cfg := RunConfig{
-			Spec: spec, LocalPct: 50, LocalCores: elasticLocalCores,
-			CloudCores: elasticCloudSeed, Sim: sim,
-			Batch: elasticBatch, JobsPerRequest: elasticJobsPer,
-			Elastic:        ctrl(),
-			Revocations:    v.trace,
-			CheckpointJobs: v.checkpoint,
-			Logf:           logf,
-		}
-		res, err := Execute(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench: spot %s %s: %w", spec.Name, v.label, err)
-		}
-		el := res.Report.Elastic
-		if el == nil {
-			return nil, fmt.Errorf("bench: spot %s %s: run produced no elastic report", spec.Name, v.label)
-		}
-		row := SpotRow{
-			Label: v.label, CheckpointJobs: v.checkpoint,
-			TotalEmu:    res.Report.TotalWall,
-			MetDeadline: res.Report.TotalWall <= out.Deadline,
-			Boots:       el.Boots, Replacements: el.Replacements,
-			OnDemandWorkers: el.OnDemandWorkers,
-			Digest:          res.Report.FinalResult,
-		}
-		// Re-price with projected egress, splitting the instance bill by
-		// tier the way the controller metered it.
-		egress := int64(float64(egressBytes(res.Report)) * scaleUp)
-		_, egressUSD, _ := elastic.Cost(0, egress, coreRate, prices.EgressPerGB)
-		row.SpotUSD = el.SpotUSD
-		row.OnDemandUSD = el.OnDemandUSD
-		row.TotalUSD = el.SpotUSD + el.OnDemandUSD + egressUSD
-		if p := res.Report.Preemption; p != nil {
-			row.Revocations = p.Revocations
-			row.Warned = p.Warned
-			row.Unwarned = p.Unwarned
-			row.DrainsCompleted = p.DrainsCompleted
-			row.DrainsAborted = p.DrainsAborted
-			row.CheckpointsSent = p.CheckpointsSent
-			row.CheckpointsAdopted = p.CheckpointsAdopted
-			row.JobsRecovered = p.JobsRecovered
-			row.JobsRequeued = p.JobsRequeued
-			row.JobsAbandoned = p.JobsAbandoned
-		}
-		out.Rows = append(out.Rows, row)
+	t, err := Sweep(d.base, 0, []Variant{
+		{Label: "clean", Set: run(nil, 0)},
+		{Label: "warned-drain", Set: run(trace(1), 0)},
+		{Label: "unwarned-kill", Set: run(trace(0), spotCheckpointJobs)},
+		{Label: "unwarned-nockpt", Set: run(trace(0), 0)},
+	})
+	if err != nil {
+		return nil, err
 	}
-	out.finish()
-	return out, nil
+	d.finish(t)
+	return t, nil
 }
 
-// RenderSpot prints the preemption sweep: per-variant wall, deadline
-// outcome, revocation/drain/checkpoint tallies, and the tiered bill.
-func RenderSpot(title string, res *SpotResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Spot preemption sweep — %s (local %d cores; deadline %.1fs = %.0f%% of local-only %.1fs; %d revocations)\n",
-		title, res.LocalCores, res.Deadline.Seconds(),
-		elasticDeadlineFrac*100, res.BaselineEmu.Seconds(), spotRevocations)
-	fmt.Fprintf(&b, "  %-16s %5s %8s %9s %5s %7s %7s %6s %7s %7s %5s %8s %8s %9s\n",
-		"variant", "ckpt", "total", "deadline", "revs", "drains", "adopts", "saved", "requeue", "od-wkr", "boots", "spot $", "od $", "total $")
-	for _, r := range res.Rows {
-		met := "met ✓"
-		if !r.MetDeadline {
-			met = "MISS ✗"
-		}
-		ckpt := "off"
-		if r.CheckpointJobs > 0 {
-			ckpt = fmt.Sprintf("%d", r.CheckpointJobs)
-		}
-		fmt.Fprintf(&b, "  %-16s %5s %8.1f %9s %5d %3d/%-3d %7d %6d %7d %7d %5d %8.4f %8.4f %9.4f\n",
-			r.Label, ckpt, r.TotalEmu.Seconds(), met,
-			r.Revocations, r.DrainsCompleted, r.DrainsAborted,
-			r.CheckpointsAdopted, r.JobsRecovered, r.JobsRequeued,
-			r.OnDemandWorkers, r.Boots, r.SpotUSD, r.OnDemandUSD, r.TotalUSD)
-	}
-	if res.Match {
-		fmt.Fprintf(&b, "  result digests: identical across all variants ✓\n")
-	} else {
-		fmt.Fprintf(&b, "  result digests: DIVERGED — preemption recovery changed results\n")
-		for _, r := range res.Rows {
-			fmt.Fprintf(&b, "    %-16s %s\n", r.Label+":", r.Digest)
-		}
-	}
-	return b.String()
+// SpotColumns are the preemption sweep's metrics: the deadline
+// outcome, revocation / drain / checkpoint tallies, and the tiered
+// bill.
+var SpotColumns = []Column{
+	totalCol, deadlineCol,
+	col("revs", "%d", func(r *Row) any { return r.Preemption.Revocations }),
+	col("drains", "%s", func(r *Row) any {
+		return fmt.Sprintf("%d/%d", r.Preemption.DrainsCompleted, r.Preemption.DrainsAborted)
+	}),
+	col("ckpts", "%d", func(r *Row) any { return r.Preemption.CheckpointsSent }),
+	col("adopts", "%d", func(r *Row) any { return r.Preemption.CheckpointsAdopted }),
+	col("saved", "%d", func(r *Row) any { return r.Preemption.JobsRecovered }),
+	col("requeue", "%d", func(r *Row) any { return r.Preemption.JobsRequeued }),
+	col("od-wkr", "%d", func(r *Row) any { return r.Elastic.OnDemandWorkers }),
+	col("boots", "%d", func(r *Row) any { return r.Elastic.Boots }),
+	col("spot $", "%.4f", func(r *Row) any { return r.Elastic.SpotUSD }),
+	col("od $", "%.4f", func(r *Row) any { return r.Elastic.OnDemandUSD }),
+	col("total $", "%.4f", func(r *Row) any { return r.TotalUSD }),
 }

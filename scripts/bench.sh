@@ -2,6 +2,9 @@
 # Reproduce the retrieval-pipeline experiments and leave machine-
 # readable records:
 #
+# Each experiment prints its variants x metrics table and writes it in
+# the one JSON table schema (a list of bench.Table):
+#
 #   - `cbbench -experiment overlap` (prefetch on/off x chunk cache
 #     on/off, on knn single-pass and pagerank power iterations, all
 #     data in S3) -> BENCH_overlap.json
@@ -55,33 +58,39 @@ HISTORY_DIR="${HISTORY_DIR:-.cloudburst-history}"
 # scale its recorded history (EXPERIMENTS.md) was measured at.
 SYNC_DIVISOR="${SYNC_DIVISOR:-8}"
 
-go run ./cmd/cbbench -experiment overlap \
+# Every experiment runs even when an earlier gate fails, so each
+# record is refreshed; the script then exits non-zero naming every
+# experiment whose run or gate failed.
+failed=()
+bench() { go run ./cmd/cbbench -experiment "$@" || failed+=("$1"); }
+
+bench overlap \
 	-records-divisor "$DIVISOR" \
 	-overlap-iters "$ITERS" \
 	-json "$OUT"
 
-go run ./cmd/cbbench -experiment autotune \
+bench autotune \
 	-records-divisor "$DIVISOR" \
 	-check-win \
 	-json "$AUTOTUNE_OUT"
 
-go run ./cmd/cbbench -experiment elastic \
+bench elastic \
 	-records-divisor "$DIVISOR" \
 	-check-win \
 	-json "$ELASTIC_OUT"
 
-go run ./cmd/cbbench -experiment spot \
+bench spot \
 	-records-divisor "$DIVISOR" \
 	-check-win \
 	-json "$SPOT_OUT"
 
-go run ./cmd/cbbench -experiment buffer \
+bench buffer \
 	-records-divisor "$DIVISOR" \
 	-overlap-iters "$ITERS" \
 	-check-win \
 	-json "$BUFFER_OUT"
 
-go run ./cmd/cbbench -experiment sync \
+bench sync \
 	-records-divisor "$SYNC_DIVISOR" \
 	-check-win \
 	-json "$SYNC_OUT"
@@ -90,8 +99,13 @@ go run ./cmd/cbbench -experiment sync \
 # (records from earlier bench runs would warm it and deflate the
 # measured ramp savings).
 rm -rf "$HISTORY_DIR"
-go run ./cmd/cbbench -experiment advisor \
+bench advisor \
 	-records-divisor "$DIVISOR" \
 	-history-dir "$HISTORY_DIR" \
 	-check-win \
 	-json "$ADVISOR_OUT"
+
+if ((${#failed[@]})); then
+	echo "bench: failed: ${failed[*]}" >&2
+	exit 1
+fi
