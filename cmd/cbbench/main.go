@@ -34,7 +34,7 @@ func main() {
 		divisor = flag.Int64("records-divisor", 1, "shrink data sets (and jobs) by this factor")
 		verbose = flag.Bool("v", false, "log cluster progress")
 
-		overlapIters = flag.Int("overlap-iters", 3, "overlap/buffer: pagerank power iterations")
+		overlapIters = flag.Int("overlap-iters", 3, "overlap/buffer: pagerank power iterations (at least 1)")
 		jsonPath     = flag.String("json", "", "overlap/autotune/elastic/advisor/spot/buffer/sync/chaos: also write the result tables as JSON to this file")
 		checkWin     = flag.Bool("check-win", false, "autotune/elastic/advisor/spot/buffer/sync: fail unless the acceptance criteria are met")
 		historyDir   = flag.String("history-dir", "", "advisor: burst-history database directory (empty = throwaway temp dir)")
@@ -45,6 +45,13 @@ func main() {
 		heartbeat      = flag.Duration("heartbeat", 50*time.Millisecond, "chaos: liveness heartbeat interval (0 disables)")
 	)
 	flag.Parse()
+	if *overlapIters < 1 {
+		// 0 would silently run the pagerank rows as one pass, which the
+		// knn rows already cover.
+		fmt.Fprintln(os.Stderr, "cbbench: -overlap-iters must be at least 1")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	sim := bench.DefaultSim()
 	if *scale > 0 {

@@ -294,6 +294,14 @@ func (p *Pool) Remaining() int {
 	return p.remaining
 }
 
+// Unassigned reports how many jobs no site holds: pending, never
+// granted or requeued.
+func (p *Pool) Unassigned() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.remaining - len(p.assigned)
+}
+
 // Done reports whether every job has been completed.
 func (p *Pool) Done() bool { return p.Remaining() == 0 }
 

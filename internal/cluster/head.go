@@ -93,8 +93,8 @@ type Head struct {
 
 	mu          sync.Mutex
 	started     time.Time
-	joined      map[string]time.Time // site -> registration
-	arrivals    map[string]time.Time // site -> cluster-result arrival
+	sites       map[string]*siteLedger // site -> what the grant cap and elastic feed know
+	arrivals    map[string]time.Time   // site -> cluster-result arrival
 	stats       map[string]wire.Stats
 	objects     []gr.Reduction // monolithic mode only; streamed feeds merger
 	partial     *partialSend   // streamed plan: the exchange, once a laggard is elected
@@ -121,10 +121,8 @@ type Head struct {
 	// conns tracks each registered master's connection so scale-down
 	// pushes can reach the right site without holding mu during sends.
 	conns map[string]*wire.Conn
-	// progress holds each site's advisory completion gauge (the live
-	// feed for the elastic controller) and totalJobs the pool size it
-	// is measured against.
-	progress  map[string]int
+	// totalJobs is the pool size the elastic controller measures the
+	// sites' progress gauges against.
 	totalJobs int
 
 	wg sync.WaitGroup
@@ -166,13 +164,12 @@ func NewHead(cfg HeadConfig) (*Head, error) {
 		plan:       plan,
 		pool:       chunk.NewPoolWith(cfg.Index, chunk.PoolOptions{Scatter: cfg.Scatter}),
 		expected:   cfg.Clusters,
-		joined:     make(map[string]time.Time),
+		sites:      make(map[string]*siteLedger),
 		arrivals:   make(map[string]time.Time),
 		stats:      make(map[string]wire.Stats),
 		mergeReady: make(chan struct{}),
 		resultCh:   make(chan headResult, 1),
 		conns:      make(map[string]*wire.Conn),
-		progress:   make(map[string]int),
 	}
 	h.merger = gr.NewMerger(cfg.App, gr.MergerOptions{
 		Mode: plan.merge(), Workers: mergeWorkers,
@@ -277,7 +274,8 @@ func (h *Head) handleMaster(c *wire.Conn) error {
 	// the registration reply on this connection.
 	h.mu.Lock()
 	h.conns[site] = c
-	h.joined[site] = h.cfg.Clock.Now()
+	now := h.cfg.Clock.Now()
+	h.sites[site] = &siteLedger{joined: now, gaugeAt: now}
 	h.electLaggard()
 	h.mu.Unlock()
 	defer func() {
@@ -338,8 +336,8 @@ func (h *Head) handleMaster(c *wire.Conn) error {
 				h.pool.SetResident(site, req.Resident)
 			}
 			h.observe(site, req.Progress)
-			grants := h.pool.Acquire(site, req.Max)
-			resp := &wire.Message{Kind: wire.KindJobs, Done: len(grants) == 0}
+			grants, done := h.grant(site, req.Max)
+			resp := &wire.Message{Kind: wire.KindJobs, Done: done}
 			for _, g := range grants {
 				ch := g.Chunk
 				f := h.cfg.Index.Files[ch.File]
@@ -376,36 +374,58 @@ func (h *Head) handleMaster(c *wire.Conn) error {
 	}
 }
 
-// observe feeds a site's advisory progress gauge to the elastic controller
-// and applies any scaling decisions: boots through the provisioner
-// callback, drains as a KindScale push to the site's master. Pushes
-// are best-effort — a master that dies before reading one takes the
-// cluster-lost path anyway.
-func (h *Head) observe(site string, gauge int) {
-	ctrl := h.cfg.Elastic
-	if ctrl == nil {
-		return
+// grant hands site up to limit jobs from the pool, capped by its
+// throughput share of what is left (grantCap). done is true only when
+// the pool has no unassigned job left; a capped grant of nothing is
+// not done — the master asks again after its next completion.
+func (h *Head) grant(site string, limit int) (grants []chunk.Assignment, done bool) {
+	limit = max(limit, 1)
+	h.mu.Lock()
+	n := grantCap(h.sites, site, h.pool.Unassigned(), limit, h.cfg.Clock.Now())
+	if n > 0 {
+		grants = h.pool.Acquire(site, n)
+		l := h.sites[site]
+		l.granted += len(grants)
+		for _, g := range grants {
+			if g.Stolen {
+				l.stolen++
+			}
+		}
 	}
+	h.mu.Unlock()
+	if n < limit {
+		h.cfg.Logf("head: %s holds its throughput share of the tail, granting %d of %d", site, n, limit)
+	}
+	return grants, n > 0 && len(grants) == 0
+}
+
+// observe records a site's advisory progress gauge in its ledger and,
+// with an elastic controller, feeds it the delta and applies any
+// scaling decisions: boots through the provisioner callback, drains as
+// a KindScale push to the site's master. Pushes are best-effort — a
+// master that dies before reading one takes the cluster-lost path
+// anyway.
+func (h *Head) observe(site string, gauge int) {
 	h.mu.Lock()
 	// The gauge is cumulative and advisory: take the max against what
 	// the site already reported (messages can be reordered relative to
-	// each other) and feed the controller the delta. Remaining work is
-	// measured against the same gauges, not the pool's acked
-	// completions — those are withheld until reduction objects land.
-	prev := h.progress[site]
-	if gauge < prev {
-		gauge = prev
+	// each other). Remaining work is measured against the same gauges,
+	// not the pool's acked completions — those are withheld until
+	// reduction objects land.
+	l := h.sites[site]
+	now := h.cfg.Clock.Now()
+	delta := max(0, gauge-l.progress)
+	l.progress += delta
+	l.gaugeAt = now
+	remaining := h.totalJobs
+	for _, s := range h.sites {
+		remaining -= s.progress
 	}
-	h.progress[site] = gauge
-	delta := gauge - prev
-	sum := 0
-	for _, v := range h.progress {
-		sum += v
-	}
-	remaining := h.totalJobs - sum
-	elapsed := h.cfg.Clock.ToEmu(h.cfg.Clock.Now().Sub(h.started))
+	elapsed := h.cfg.Clock.ToEmu(now.Sub(h.started))
 	h.mu.Unlock()
-	h.apply(ctrl.Observe(site, delta, elapsed, remaining))
+	if ctrl := h.cfg.Elastic; ctrl != nil {
+		h.apply(ctrl.Observe(site, delta, elapsed, remaining))
+	}
 }
 
 // apply executes a batch of elastic decisions: boots through the
@@ -459,6 +479,7 @@ func (h *Head) recordResult(site string, obj gr.Reduction, stats wire.Stats) boo
 	}
 	now := h.cfg.Clock.Now()
 	h.arrivals[site] = now
+	h.sites[site].out = true
 	if now.After(h.lastArrival) {
 		h.lastArrival = now
 	}
@@ -499,6 +520,7 @@ func (h *Head) clusterLost(site string, cause error) {
 		return
 	}
 	requeued := h.pool.RequeueSite(site)
+	h.sites[site].out = true
 	h.expected--
 	delete(h.conns, site)
 	// One fewer cluster to wait for may leave exactly one: the exchange
@@ -752,7 +774,7 @@ func (h *Head) publish() {
 			Wall:      wall,
 			// The master stamps Wall before it ships, so what is left of
 			// its registration-to-arrival span is the result's transfer.
-			ResultShip: max(0, h.cfg.Clock.ToEmu(t.Sub(h.joined[site]))-wall),
+			ResultShip: max(0, h.cfg.Clock.ToEmu(t.Sub(h.sites[site].joined))-wall),
 		})
 	}
 	report.Faults = metrics.FaultReport{

@@ -142,11 +142,16 @@ type Master struct {
 	draining map[int]bool
 	drains   int // completed drains (logging)
 	// progress counts every slave-reported completion as it happens —
-	// the advisory gauge piggybacked upstream for the elastic
-	// controller. Unlike m.completed it is never withheld: the head
-	// needs a live rate signal, and tolerates the gauge's optimism
-	// about work a dying slave will end up redoing.
+	// the advisory gauge piggybacked upstream for the head's grant cap
+	// and the elastic controller. Unlike m.completed it is never
+	// withheld: the head needs a live rate signal, and tolerates the
+	// gauge's optimism about work a dying slave will end up redoing.
 	progress int
+	// capped is set while the refill loop waits out a capped grant (an
+	// empty, not-done KindJobs): only then does a completion need to
+	// wake it, and only then does takeJobs answer a slave that still
+	// holds unreported jobs without waiting for the queue.
+	capped bool
 
 	slaveObjs  []gr.Reduction // monolithic mode only; streamed feeds merger
 	slaveStats []wire.Stats
@@ -346,6 +351,18 @@ func (m *Master) refillLoop() error {
 		}
 		m.cond.Broadcast()
 		done := m.headDone
+		if !done && len(resp.Jobs) == 0 {
+			// Capped: this site already holds its share of what is left.
+			// Ask again once that changes — a completion since the
+			// request, a drain return or requeue, or a failure — never
+			// in a loop over the WAN.
+			m.capped = true
+			queued := len(m.queue)
+			for m.progress == progress && len(m.queue) == queued && m.failed == nil {
+				m.cond.Wait()
+			}
+			m.capped = false
+		}
 		m.mu.Unlock()
 		if done {
 			m.cfg.Logf("master %s: head pool dry, draining", m.cfg.Site)
@@ -662,7 +679,7 @@ func (m *Master) handleSlave(c *wire.Conn) error {
 				m.cfg.Logf("master %s: slave %v stalled (no traffic for %v), declaring lost",
 					m.cfg.Site, addr, m.cfg.HeartbeatInterval*time.Duration(m.cfg.HeartbeatMisses))
 			}
-			m.slaveLost(connID, granted)
+			m.slaveLost(connID, granted, completed)
 			return nil
 		}
 		switch req.Kind {
@@ -712,7 +729,7 @@ func (m *Master) handleSlave(c *wire.Conn) error {
 			m.cfg.Logf("master %s: slave %v preempt-warned, accelerated drain", m.cfg.Site, addr)
 			m.cond.Broadcast()
 			if err := c.Send(&wire.Message{Kind: wire.KindAck}); err != nil {
-				m.slaveLost(connID, granted)
+				m.slaveLost(connID, granted, completed)
 				return nil
 			}
 
@@ -721,6 +738,9 @@ func (m *Master) handleSlave(c *wire.Conn) error {
 			if n := len(req.Completed); n > 0 {
 				m.mu.Lock()
 				m.progress += n
+				if m.capped {
+					m.cond.Broadcast()
+				}
 				m.mu.Unlock()
 			}
 			m.noteHintWaste(connID, req.HintWasteChunks)
@@ -731,7 +751,7 @@ func (m *Master) handleSlave(c *wire.Conn) error {
 				m.resident[connID] = req.Resident
 				m.mu.Unlock()
 			}
-			jobs, hints, done, drain := m.takeJobs(max(req.Max, 1), connID)
+			jobs, hints, done, drain := m.takeJobs(max(req.Max, 1), connID, len(granted) > len(completed))
 			for _, j := range jobs {
 				granted[j.Chunk] = j
 			}
@@ -739,7 +759,7 @@ func (m *Master) handleSlave(c *wire.Conn) error {
 			if err := c.Send(&wire.Message{
 				Kind: wire.KindJobGrant, Jobs: jobs, Hints: hints, Done: done, Drain: drain,
 			}); err != nil {
-				m.slaveLost(connID, granted)
+				m.slaveLost(connID, granted, completed)
 				return nil
 			}
 
@@ -830,9 +850,10 @@ func (m *Master) handleSlave(c *wire.Conn) error {
 // checkpoint before dying, its newest partial reduction is adopted
 // first: the jobs it covers are subtracted from the requeue set and
 // acknowledged upstream, so only work since the checkpoint is
-// re-executed. If no slaves remain, the cluster cannot finish and the
-// run fails.
-func (m *Master) slaveLost(connID int, granted map[int32]wire.JobAssign) {
+// re-executed. reported lists the completions the slave already sent;
+// covered jobs beyond them count toward the progress gauge here. If no
+// slaves remain, the cluster cannot finish and the run fails.
+func (m *Master) slaveLost(connID int, granted map[int32]wire.JobAssign, reported []int32) {
 	m.mu.Lock()
 	if ck := m.ckpts[connID]; ck != nil {
 		delete(m.ckpts, connID)
@@ -848,8 +869,19 @@ func (m *Master) slaveLost(connID int, granted map[int32]wire.JobAssign) {
 			}
 		}
 		if valid {
+			// A covered job the slave never reported is finished all the
+			// same: the head's grant cap reads granted − progress as what
+			// this site still holds, and a job it never sees complete
+			// would keep the site capped with nothing left to run.
+			seen := make(map[int32]bool, len(reported))
+			for _, id := range reported {
+				seen[id] = true
+			}
 			for _, id := range ck.covered {
 				delete(granted, id)
+				if !seen[id] {
+					m.progress++
+				}
 			}
 			m.completed = append(m.completed, ck.covered...)
 			if m.plan.streamed {
@@ -904,7 +936,14 @@ func (m *Master) slaveLost(connID int, granted map[int32]wire.JobAssign) {
 // any other connection's drain is still pending — its result may
 // return work to the queue, and a worker released with done=true
 // would never come back for it.
-func (m *Master) takeJobs(max, connID int) (jobs, hints []wire.JobAssign, done, drain bool) {
+//
+// holding says the connection still holds jobs it has not reported —
+// a prefetching slave asks for its next grant while it reduces the
+// current one. While the refill loop waits out a capped grant with the
+// queue empty, such a request gets an empty, not-done grant at once:
+// parked, it would keep the current grant's jobs unreported, and the
+// capped wait lasts until this site reports progress.
+func (m *Master) takeJobs(max, connID int, holding bool) (jobs, hints []wire.JobAssign, done, drain bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -919,6 +958,9 @@ func (m *Master) takeJobs(max, connID int) (jobs, hints []wire.JobAssign, done, 
 		}
 		if m.headDone && !m.drainsPendingExceptLocked(connID) {
 			return nil, nil, true, false
+		}
+		if m.capped && holding {
+			return nil, nil, false, false
 		}
 		m.cond.Wait()
 	}

@@ -39,8 +39,8 @@ const (
 
 	// Cluster protocol.
 	KindRegisterMaster // master->head: Site, Cores
-	KindRequestJobs    // master->head: Site, Max, Completed
-	KindJobs           // head->master: Jobs, Done
+	KindRequestJobs    // master->head: Site, Max, Completed, Progress
+	KindJobs           // head->master: Jobs, Done (no jobs, not Done: capped)
 	KindClusterResult  // master->head: Site, Object, Stats
 	KindFinal          // head->master: Object (final reduction), Done
 	KindRegisterSlave  // slave->master: Site, Cores
@@ -197,13 +197,18 @@ type Message struct {
 	// completions at the sending site (KindRequestJobs and
 	// KindClusterResult). Unlike Completed — withheld until a slave's
 	// reduction object lands, so re-execution stays possible — it flows
-	// continuously; the elastic controller needs a live progress signal
-	// and tolerates its optimism about work a dying slave will redo.
+	// continuously; the head's grant cap and the elastic controller need
+	// a live progress signal and tolerate its optimism about work a
+	// dying slave will redo.
 	Progress int
 	Jobs     []JobAssign
-	Done     bool
-	Object   []byte
-	Stats    Stats
+	// Done on KindJobs means the head's pool has no unassigned job
+	// left. KindJobs with no jobs and Done false is a capped grant: the
+	// site already holds its measured throughput share of the remaining
+	// work, so ask again after your next completion.
+	Done   bool
+	Object []byte
+	Stats  Stats
 
 	// Hints piggybacks "likely next chunks" on a KindJobGrant: jobs the
 	// master expects to hand this slave soon, so its prefetch pipeline

@@ -39,8 +39,10 @@ go test -race ./internal/cluster/ ./internal/store/ ./internal/chunk/ ./internal
 # lent views) shares one connection between a replying handler,
 # heartbeats and an object swap, so its tests ride along, as do
 # store.Fetch's span planner and its reader pool (tuner growth and
-# retirement, lowest-offset failure bookkeeping).
-go test -race -count=2 -run 'Join|Drain|Elastic|Spot|Preempt|Checkpoint|Revocation|Buffer|Prefetch|Budget|Merge|Sync|Exchange|HeadReader|BlockPath' ./internal/cluster/ ./internal/gr/
+# retirement, lowest-offset failure bookkeeping). The tail grant cap
+# parks the refill loop on the master's cond until a slave handler's
+# completion, requeue or failure wakes it, so its tests ride along too.
+go test -race -count=2 -run 'Join|Drain|Elastic|Spot|Preempt|Checkpoint|Revocation|Buffer|Prefetch|Budget|Merge|Sync|Exchange|HeadReader|BlockPath|TailCap|Capped' ./internal/cluster/ ./internal/gr/
 go test -race -count=2 -run 'Vectored|OneWritePerSend|RecvInto|DirectRead|BadReplies|Overlong|LentView|BlockKernel|Plan|Span|Fetch' ./internal/wire/ ./internal/store/ ./internal/apps/
 # The wire codec owns every byte on every connection: fuzz the decoder
 # and the direct-read path briefly (corrupt frames must error, never
