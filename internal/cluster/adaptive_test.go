@@ -12,15 +12,15 @@ import (
 // stale warm set, instead of skipping the update. (The wire codec
 // preserves the nil vs. empty distinction end to end.)
 func TestResidentUnionDistinguishesEmptyFromNone(t *testing.T) {
-	m := &Master{resident: make(map[int][]int32)}
+	m := &Master{resident: make(map[*slaveConn][]int32)}
 	if ids := m.residentUnionLocked(); ids != nil {
 		t.Fatalf("no reports: got %v, want nil", ids)
 	}
-	m.resident[1] = nil // a slave with an enabled but drained cache
+	m.resident[&slaveConn{}] = nil // a slave with an enabled but drained cache
 	if ids := m.residentUnionLocked(); ids == nil || len(ids) != 0 {
 		t.Fatalf("drained report: got %v, want non-nil empty", ids)
 	}
-	m.resident[2] = []int32{3, 5, 3}
+	m.resident[&slaveConn{}] = []int32{3, 5, 3}
 	ids := m.residentUnionLocked()
 	if ids == nil || len(ids) != 2 {
 		t.Fatalf("union = %v, want deduped {3,5}", ids)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -245,6 +246,25 @@ func TestHeadRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Run(DeployConfig{}); err == nil {
 		t.Fatal("empty deploy config accepted")
+	}
+}
+
+// TestRunBuildErrorStartsNothing: when a later site cannot be built,
+// Run fails without leaving the earlier sites' masters and slaves
+// running — the goroutine count settles back to where it started.
+func TestRunBuildErrorStartsNothing(t *testing.T) {
+	cfg, _ := fixture(t, 400, 2, 1, 2, 1)
+	cfg.Sites[1].HomeStore = nil
+	before := runtime.NumGoroutine()
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "home store") {
+		t.Fatalf("Run = %v, want the missing home store", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5s after the failed build, %d before it", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cloudburst/internal/chunk"
@@ -63,11 +65,10 @@ type DeployConfig struct {
 	Sites []SiteSpec
 	Clock netsim.Clock
 
-	// Batch/Watermark tune master refills; GroupUnits the engine's
-	// cache group; JobsPerRequest the slave's request size; Fetch the
-	// remote retrieval. Zero values pick defaults.
+	// Batch tunes master refills; GroupUnits the engine's cache group;
+	// JobsPerRequest the slave's request size; Fetch the remote
+	// retrieval. Zero values pick defaults.
 	Batch          int
-	Watermark      int
 	GroupUnits     int
 	JobsPerRequest int
 	Fetch          store.FetchOptions
@@ -168,14 +169,15 @@ type provisioner struct {
 	boot  time.Duration
 	logf  func(format string, args ...any)
 
+	// spawn boots one join slave; install sets it while the deployment
+	// is built, before the head can ask for a boot.
+	spawn   func(onDemand bool) error
+	stopped atomic.Bool // set when the run ends: later boots are wasted
+
 	mu        sync.Mutex
-	stopped   bool
-	spawn     func(onDemand bool) error // set once the elastic site's master listens
-	ready     chan struct{}             // closed when spawn is installed
-	halted    chan struct{}             // closed by stop()
-	slaves    []*Slave                  // every provisioned slave (hint-waste folding)
-	revocable []*Slave                  // live spot join slaves (preemption victims)
-	wasted    int                       // boots that arrived after the run ended
+	slaves    []*Slave // every provisioned slave (hint-waste folding)
+	revocable []*Slave // live spot join slaves (preemption victims)
+	wasted    int      // boots that arrived after the run ended
 	wg        sync.WaitGroup
 }
 
@@ -189,22 +191,11 @@ func (p *provisioner) ScaleUp(site string, n int, onDemand bool) {
 		go func() {
 			defer p.wg.Done()
 			p.clock.Sleep(p.boot) // simulated instance boot
-			// An advisor warm start boots at t=0; under a fast emulated
-			// clock the boot can mature before the deployment has wired
-			// the elastic site's master. Such a boot is early, not
-			// wasted: hold it until spawn is installed (or the run ends).
-			select {
-			case <-p.ready:
-			case <-p.halted:
-			}
-			p.mu.Lock()
-			spawn, stopped := p.spawn, p.stopped
-			p.mu.Unlock()
-			if stopped || spawn == nil {
+			if p.stopped.Load() {
 				p.noteWasted()
 				return
 			}
-			if err := spawn(onDemand); err != nil && !errors.Is(err, ErrRevoked) {
+			if err := p.spawn(onDemand); err != nil && !errors.Is(err, ErrRevoked) {
 				p.noteWasted()
 				p.logf("provisioner: %s worker boot wasted: %v", site, err)
 			}
@@ -212,14 +203,8 @@ func (p *provisioner) ScaleUp(site string, n int, onDemand bool) {
 	}
 }
 
-// addRevocable registers a live spot join slave as a preemption
-// victim; dropRevocable removes it when it exits for any reason.
-func (p *provisioner) addRevocable(s *Slave) {
-	p.mu.Lock()
-	p.revocable = append(p.revocable, s)
-	p.mu.Unlock()
-}
-
+// dropRevocable removes a spot join slave from the preemption victims
+// when it exits for any reason.
 func (p *provisioner) dropRevocable(s *Slave) {
 	p.mu.Lock()
 	for i, v := range p.revocable {
@@ -254,13 +239,25 @@ func (p *provisioner) noteWasted() {
 	p.mu.Unlock()
 }
 
-func (p *provisioner) stop() {
-	p.mu.Lock()
-	if !p.stopped {
-		p.stopped = true
-		close(p.halted)
+// install sets the spawn that boots a join slave from cfg against the
+// elastic site's master. While revoking, a spot (not onDemand) worker
+// is a preemption victim for as long as it runs.
+func (p *provisioner) install(cfg SlaveConfig, masterAddr string, dial store.Dialer, revoking bool) {
+	p.spawn = func(onDemand bool) error {
+		js, err := NewSlave(cfg)
+		if err != nil {
+			return err
+		}
+		p.mu.Lock()
+		p.slaves = append(p.slaves, js)
+		if revoking && !onDemand {
+			p.revocable = append(p.revocable, js)
+			defer p.dropRevocable(js)
+		}
+		p.mu.Unlock()
+		_, err = js.Run(masterAddr, dial)
+		return err
 	}
-	p.mu.Unlock()
 }
 
 // preemptor paces a revocation trace against the provisioner's live
@@ -371,23 +368,80 @@ func (p *preemptor) halt() metrics.PreemptionReport {
 // slaves, processes every chunk of the index, performs local and
 // global reductions, and returns the merged result and the run report.
 func Run(cfg DeployConfig) (*RunResult, error) {
+	d, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	d.start()
+	report, final, err := d.wait()
+	if err != nil {
+		return nil, err
+	}
+	return d.collect(report, final), nil
+}
+
+// deployment is one Run, in four phases: build wires every component
+// without starting a goroutine, so a configuration error leaves
+// nothing running; start launches them; wait joins them once the head
+// finishes; collect folds the per-site tallies into the report.
+type deployment struct {
+	cfg    DeployConfig
+	head   *Head
+	headLn net.Listener
+	prov   *provisioner // nil unless elastic
+	sites  []*siteRun
+
+	pre    *preemptor // started with the run when a revocation trace is set
+	preRep metrics.PreemptionReport
+	wg     sync.WaitGroup
+	errs   chan error
+}
+
+// siteRun is one site of a deployment: its master and static slave and
+// the listener and shaped links that connect them.
+type siteRun struct {
+	spec                    SiteSpec
+	master                  *Master
+	slave                   *Slave
+	masterLn                net.Listener
+	headShaper, slaveShaper *netsim.Shaper
+	final                   gr.Reduction // the master's copy, once it returns
+	// buffer is the site's burst buffer, if any. A per-run buffer is
+	// drained when the run completes; startBacking is the backing-bytes
+	// counter at build time, so a persistent buffer carried across
+	// iterations contributes only this run's delta.
+	buffer       *store.SiteBuffer
+	perRunBuffer bool
+	startBacking int64
+}
+
+// build validates cfg and constructs the head, the elastic controller
+// and provisioner, and every site. On error it closes the listeners it
+// opened; nothing has started.
+func build(cfg DeployConfig) (*deployment, error) {
 	if len(cfg.Sites) == 0 {
 		return nil, fmt.Errorf("cluster: deployment needs at least one site")
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = netsim.Instant()
 	}
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
 	if _, err := resolveSyncMode(cfg.SyncMode); err != nil {
 		return nil, err
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
+	d := &deployment{cfg: cfg, errs: make(chan error, 2*len(cfg.Sites))}
+	hcfg := HeadConfig{
+		App: cfg.App, Index: cfg.Index, Clusters: len(cfg.Sites),
+		Scatter: cfg.Scatter, Clock: cfg.Clock, Logf: cfg.Logf,
+		SyncMode: cfg.SyncMode, MergeCost: cfg.MergeCost,
+		HeartbeatInterval: cfg.HeartbeatInterval, HeartbeatMisses: cfg.HeartbeatMisses,
 	}
-
-	var ctrl *elastic.Controller
-	var prov *provisioner
 	if cfg.Elastic != nil {
+		if !slices.ContainsFunc(cfg.Sites, func(s SiteSpec) bool { return s.Name == cfg.Elastic.Site }) {
+			return nil, fmt.Errorf("cluster: elastic site %q not in deployment", cfg.Elastic.Site)
+		}
 		ecfg := *cfg.Elastic
 		if ecfg.Workers == nil {
 			ecfg.Workers = make(map[string]int, len(cfg.Sites))
@@ -398,237 +452,197 @@ func Run(cfg DeployConfig) (*RunResult, error) {
 		if ecfg.Logf == nil {
 			ecfg.Logf = cfg.Logf
 		}
-		ctrl = elastic.New(ecfg)
-		prov = &provisioner{
-			clock: cfg.Clock, boot: ecfg.BootLatency, logf: logf,
-			ready: make(chan struct{}), halted: make(chan struct{}),
-		}
-	}
-	if cfg.Revocations != nil && len(cfg.Revocations.Events) > 0 && prov == nil {
+		hcfg.Elastic = elastic.New(ecfg)
+		d.prov = &provisioner{clock: cfg.Clock, boot: ecfg.BootLatency, logf: cfg.Logf}
+		hcfg.ScaleUp = d.prov.ScaleUp
+	} else if cfg.Revocations != nil && len(cfg.Revocations.Events) > 0 {
 		return nil, fmt.Errorf("cluster: revocation trace needs elastic provisioning (no spot workers without it)")
 	}
+	var err error
+	if d.head, err = NewHead(hcfg); err != nil {
+		return nil, err
+	}
+	if d.headLn, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+		return nil, err
+	}
+	for _, spec := range cfg.Sites {
+		s, err := d.buildSite(spec)
+		if err != nil {
+			d.headLn.Close()
+			for _, built := range d.sites {
+				built.masterLn.Close()
+			}
+			return nil, err
+		}
+		d.sites = append(d.sites, s)
+	}
+	return d, nil
+}
 
-	head, err := NewHead(HeadConfig{
-		App: cfg.App, Index: cfg.Index, Clusters: len(cfg.Sites),
-		Scatter: cfg.Scatter, Clock: cfg.Clock, Logf: cfg.Logf,
-		SyncMode: cfg.SyncMode, MergeCost: cfg.MergeCost,
+// buildSite constructs one site's cache, buffer pool, burst buffer,
+// master, slave, listener and shaped links; for the elastic site it
+// also installs the provisioner's spawn.
+func (d *deployment) buildSite(spec SiteSpec) (*siteRun, error) {
+	cfg := d.cfg
+	s := &siteRun{spec: spec, buffer: spec.Buffer}
+	// A persistent site cache brings its own pool (so recycled buffers
+	// keep flowing across iterations); otherwise the slave gets a
+	// per-run pool, and a per-run cache when CacheBytes asks for one.
+	cache := spec.Cache
+	pool := cache.Pool()
+	if pool == nil {
+		pool = store.NewBufferPool()
+	}
+	if cache == nil && cfg.CacheBytes > 0 {
+		cache = store.NewChunkCache(cfg.CacheBytes, pool)
+	}
+	// The burst buffer follows the same persistence rule. Only HomeFetch
+	// sites get one: it fronts the site's own object store, which
+	// local-disk sites do not have.
+	if s.buffer == nil && cfg.BufferBytes > 0 && spec.HomeFetch {
+		fetch := cfg.Fetch.WithDefaultSizes()
+		fetch.Clock = cfg.Clock
+		s.buffer = store.NewSiteBuffer(store.SiteBufferConfig{
+			Site: spec.Name, Backing: spec.HomeStore, Capacity: cfg.BufferBytes,
+			Fetch: fetch, Pool: pool, Autotune: cfg.FetchAutotune,
+		})
+		s.perRunBuffer = true
+	}
+	masterCfg := MasterConfig{
+		Site: spec.Name, App: cfg.App, Cores: spec.Cores, Slaves: spec.Cores,
+		Batch: cfg.Batch, HintDepth: cfg.HintDepth, Clock: cfg.Clock, Logf: cfg.Logf,
 		HeartbeatInterval: cfg.HeartbeatInterval, HeartbeatMisses: cfg.HeartbeatMisses,
-		Elastic: ctrl, ScaleUp: func() func(string, int, bool) {
-			if prov == nil {
-				return nil
-			}
-			return prov.ScaleUp
-		}(),
-	})
-	if err != nil {
+		StageBudget: cfg.StageBudget, SyncMode: cfg.SyncMode, MergeCost: cfg.MergeCost,
+	}
+	slaveCfg := SlaveConfig{
+		Site: spec.Name, App: cfg.App, Cores: spec.Cores,
+		HomeStore: spec.HomeStore, RemoteStores: spec.RemoteStores,
+		Fetch: cfg.Fetch, FetchAutotune: cfg.FetchAutotune,
+		GroupUnits: cfg.GroupUnits, JobsPerRequest: cfg.JobsPerRequest,
+		HomeFetch: spec.HomeFetch, UnitCostScale: spec.UnitCostScale, CostJitter: spec.CostJitter,
+		Prefetch: cfg.Prefetch, PrefetchBudget: cfg.PrefetchBudget,
+		Cache: cache, Pool: pool, CheckpointJobs: cfg.CheckpointJobs,
+		HeartbeatInterval: cfg.HeartbeatInterval, SyncMode: cfg.SyncMode,
+		Clock: cfg.Clock, Logf: cfg.Logf,
+	}
+	if s.buffer != nil {
+		// Typed-nil care: assign the interfaces only when a buffer
+		// exists, so Buffer == nil stays a valid "no buffer" check.
+		masterCfg.Buffer, slaveCfg.Buffer = s.buffer, s.buffer
+		s.startBacking = s.buffer.Stats().BackingBytes
+	}
+	var err error
+	if s.master, err = NewMaster(masterCfg); err != nil {
 		return nil, err
 	}
-	headLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	if s.slave, err = NewSlave(slaveCfg); err != nil {
 		return nil, err
 	}
-	head.Serve(headLn)
-	headAddr := headLn.Addr().String()
-
-	result := &RunResult{PerSiteFinal: make(map[string]gr.Reduction)}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var slaves []*Slave // every static slave (hint-waste folding)
-	// bufferState tracks each site's burst buffer for post-run stats
-	// folding and (for per-run buffers) draining. startBacking remembers
-	// the backing-bytes counter at run start, so a persistent buffer
-	// carried across iterations contributes only this run's delta.
-	type bufferState struct {
-		buf          *store.SiteBuffer
-		perRun       bool
-		startBacking int64
+	if s.masterLn, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+		return nil, err
 	}
-	var buffers []bufferState
-	errs := make(chan error, 2*len(cfg.Sites))
+	s.headShaper = netsim.NewShaper(cfg.Clock, spec.HeadLink)
+	s.slaveShaper = netsim.NewShaper(cfg.Clock, spec.SlaveLink)
+	if d.prov != nil && spec.Name == cfg.Elastic.Site {
+		// The provisioner's 1-core join slaves share the site's cache,
+		// pool, buffer and shaped master link.
+		slaveCfg.Cores, slaveCfg.Join = 1, true
+		d.prov.install(slaveCfg, s.masterLn.Addr().String(), store.Dialer(s.slaveShaper.DialerBoth()),
+			cfg.Revocations != nil && len(cfg.Revocations.Events) > 0)
+	}
+	return s, nil
+}
 
-	for _, site := range cfg.Sites {
-		// A persistent site cache brings its own pool (so recycled
-		// buffers keep flowing across iterations); otherwise the slave
-		// gets a per-run pool, and a per-run cache when CacheBytes asks
-		// for one.
-		cache := site.Cache
-		pool := cache.Pool()
-		if pool == nil {
-			pool = store.NewBufferPool()
-		}
-		if cache == nil && cfg.CacheBytes > 0 {
-			cache = store.NewChunkCache(cfg.CacheBytes, pool)
-		}
-		// The burst buffer follows the same persistence rule. Only
-		// HomeFetch sites get one: it fronts the site's own object
-		// store, which local-disk sites do not have.
-		buffer := site.Buffer
-		perRunBuffer := false
-		if buffer == nil && cfg.BufferBytes > 0 && site.HomeFetch {
-			fetch := cfg.Fetch.WithDefaultSizes()
-			fetch.Clock = cfg.Clock
-			buffer = store.NewSiteBuffer(store.SiteBufferConfig{
-				Site: site.Name, Backing: site.HomeStore, Capacity: cfg.BufferBytes,
-				Fetch: fetch, Pool: pool, Autotune: cfg.FetchAutotune,
-			})
-			perRunBuffer = true
-		}
-		if buffer != nil {
-			buffers = append(buffers, bufferState{
-				buf: buffer, perRun: perRunBuffer,
-				startBacking: buffer.Stats().BackingBytes,
-			})
-		}
-
-		masterCfg := MasterConfig{
-			Site: site.Name, App: cfg.App, Cores: site.Cores, Slaves: site.Cores,
-			Batch: cfg.Batch, Watermark: cfg.Watermark, HintDepth: cfg.HintDepth,
-			Clock: cfg.Clock, Logf: cfg.Logf,
-			HeartbeatInterval: cfg.HeartbeatInterval, HeartbeatMisses: cfg.HeartbeatMisses,
-			StageBudget: cfg.StageBudget,
-			SyncMode:    cfg.SyncMode,
-			MergeCost:   cfg.MergeCost,
-		}
-		if buffer != nil {
-			// Typed-nil care: assign the interface only when a buffer
-			// exists, so Buffer == nil stays a valid "no staging" check.
-			masterCfg.Buffer = buffer
-		}
-		master, err := NewMaster(masterCfg)
-		if err != nil {
-			headLn.Close()
-			return nil, err
-		}
-		masterLn, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			headLn.Close()
-			return nil, err
-		}
-		headShaper := netsim.NewShaper(cfg.Clock, site.HeadLink)
-		slaveShaper := netsim.NewShaper(cfg.Clock, site.SlaveLink)
-
-		wg.Add(1)
-		go func(site SiteSpec) {
-			defer wg.Done()
-			final, err := master.Run(headAddr, headShaper.DialerBoth(), masterLn)
-			if err != nil {
-				errs <- err
-				return
+// start serves the head, then runs every site's master and slave, and
+// paces the revocation trace if one is set.
+func (d *deployment) start() {
+	d.head.Serve(d.headLn)
+	headAddr := d.headLn.Addr().String()
+	for _, s := range d.sites {
+		d.wg.Add(2)
+		go func() {
+			defer d.wg.Done()
+			var err error
+			if s.final, err = s.master.Run(headAddr, s.headShaper.DialerBoth(), s.masterLn); err != nil {
+				d.errs <- err
 			}
-			mu.Lock()
-			result.PerSiteFinal[site.Name] = final
-			mu.Unlock()
-		}(site)
-
-		slaveCfg := SlaveConfig{
-			Site: site.Name, App: cfg.App, Cores: site.Cores,
-			HomeStore: site.HomeStore, RemoteStores: site.RemoteStores,
-			Fetch: cfg.Fetch, FetchAutotune: cfg.FetchAutotune,
-			GroupUnits:     cfg.GroupUnits,
-			JobsPerRequest: cfg.JobsPerRequest,
-			HomeFetch:      site.HomeFetch, UnitCostScale: site.UnitCostScale,
-			CostJitter: site.CostJitter,
-			Prefetch:   cfg.Prefetch, PrefetchBudget: cfg.PrefetchBudget,
-			Cache: cache, Pool: pool,
-			CheckpointJobs:    cfg.CheckpointJobs,
-			HeartbeatInterval: cfg.HeartbeatInterval,
-			SyncMode:          cfg.SyncMode,
-			Clock:             cfg.Clock, Logf: cfg.Logf,
-		}
-		if buffer != nil {
-			slaveCfg.Buffer = buffer
-		}
-		slave, err := NewSlave(slaveCfg)
-		if err != nil {
-			headLn.Close()
-			return nil, err
-		}
-		slaves = append(slaves, slave)
-		wg.Add(1)
-		go func(site SiteSpec, addr string) {
-			defer wg.Done()
-			if _, err := slave.Run(addr, store.Dialer(slaveShaper.DialerBoth())); err != nil {
-				errs <- err
+		}()
+		go func() {
+			defer d.wg.Done()
+			if _, err := s.slave.Run(s.masterLn.Addr().String(), store.Dialer(s.slaveShaper.DialerBoth())); err != nil {
+				d.errs <- err
 			}
-		}(site, masterLn.Addr().String())
+		}()
+	}
+	if d.cfg.Revocations != nil && len(d.cfg.Revocations.Events) > 0 {
+		d.pre = newPreemptor(d.cfg.Clock, d.cfg.Revocations, d.prov, d.head, d.cfg.Logf)
+	}
+}
 
-		// The elastic site's provisioner spawns 1-core join slaves with the
-		// site's slave config, so they share its cache, pool, buffer and
-		// shaped master link.
-		if prov != nil && site.Name == cfg.Elastic.Site {
-			spawnCfg := slaveCfg
-			spawnCfg.Cores, spawnCfg.Join = 1, true
-			masterAddr := masterLn.Addr().String()
-			dial := store.Dialer(slaveShaper.DialerBoth())
-			revoking := cfg.Revocations != nil && len(cfg.Revocations.Events) > 0
-			prov.mu.Lock()
-			prov.spawn = func(onDemand bool) error {
-				js, err := NewSlave(spawnCfg)
-				if err != nil {
-					return err
-				}
-				prov.mu.Lock()
-				prov.slaves = append(prov.slaves, js)
-				prov.mu.Unlock()
-				if revoking && !onDemand {
-					prov.addRevocable(js)
-					defer prov.dropRevocable(js)
-				}
-				_, err = js.Run(masterAddr, dial)
-				return err
-			}
-			prov.mu.Unlock()
-			close(prov.ready) // release early warm-start boots
-		}
+// wait blocks until the head finishes, then stops the preemptor and
+// the provisioner and joins every master and slave. It returns the
+// head's outcome, or else the first error a site reported.
+func (d *deployment) wait() (*metrics.RunReport, gr.Reduction, error) {
+	report, final, err := d.head.Wait()
+	if d.pre != nil {
+		d.preRep = d.pre.halt()
 	}
-	if prov != nil && prov.spawn == nil {
-		headLn.Close()
-		return nil, fmt.Errorf("cluster: elastic site %q not in deployment", cfg.Elastic.Site)
+	if d.prov != nil {
+		d.prov.stopped.Store(true)
+		d.prov.wg.Wait()
 	}
-	var pre *preemptor
-	if cfg.Revocations != nil && len(cfg.Revocations.Events) > 0 {
-		pre = newPreemptor(cfg.Clock, cfg.Revocations, prov, head, logf)
-	}
-
-	report, final, err := head.Wait()
-	var preRep metrics.PreemptionReport
-	if pre != nil {
-		preRep = pre.halt()
-	}
-	if prov != nil {
-		prov.stop()
-		prov.wg.Wait()
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
+	d.wg.Wait()
+	close(d.errs)
+	for e := range d.errs {
 		// Revoked workers died on schedule; their work recovers through
 		// checkpoint adoption and re-execution, not by failing the run.
 		if err == nil && !errors.Is(e, ErrRevoked) {
 			err = e
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	if preRep.Revocations > 0 && report != nil {
+	return report, final, err
+}
+
+// collect completes the head's report with what only the deployment
+// knows: the preemption trace's tallies, wasted boots, wasted hints,
+// burst-buffer egress and each site's core count.
+func (d *deployment) collect(report *metrics.RunReport, final gr.Reduction) *RunResult {
+	if rep := d.preRep; rep.Revocations > 0 {
 		// Graft the trace-side tallies onto the counter-derived report
 		// the head assembled (created here when no counters fired).
 		if report.Preemption == nil {
 			report.Preemption = &metrics.PreemptionReport{}
 		}
-		report.Preemption.Revocations = preRep.Revocations
-		report.Preemption.Warned = preRep.Warned
-		report.Preemption.Unwarned = preRep.Unwarned
-		report.Preemption.DrainsCompleted = preRep.DrainsCompleted
-		report.Preemption.DrainsAborted = preRep.DrainsAborted
+		p := report.Preemption
+		p.Revocations, p.Warned, p.Unwarned = rep.Revocations, rep.Warned, rep.Unwarned
+		p.DrainsCompleted, p.DrainsAborted = rep.DrainsCompleted, rep.DrainsAborted
 	}
-	result.Report = report
-	result.Final = final
-	if prov != nil {
-		slaves = append(slaves, prov.slaves...)
+	res := &RunResult{Report: report, Final: final, PerSiteFinal: make(map[string]gr.Reduction)}
+	var slaves []*Slave
+	for _, s := range d.sites {
+		res.PerSiteFinal[s.spec.Name] = s.final
+		slaves = append(slaves, s.slave)
+		// The buffer's backing-store traffic is the run's true remote
+		// egress through the buffer tier (everything above it was
+		// absorbed by sharing); fold this run's delta in, then drain a
+		// per-run buffer — a persistent one stays warm for the driver's
+		// next iteration.
+		if s.buffer != nil {
+			report.Retrieval.BufferBackingBytes += s.buffer.Stats().BackingBytes - s.startBacking
+			if s.perRunBuffer {
+				s.buffer.Drain()
+			}
+		}
+		for i := range report.Clusters { // the head does not know core counts
+			if report.Clusters[i].Site == s.spec.Name {
+				report.Clusters[i].Cores = s.spec.Cores
+			}
+		}
+	}
+	if d.prov != nil {
+		slaves = append(slaves, d.prov.slaves...)
 		if report.Elastic != nil {
-			report.Elastic.WastedBoots = prov.wasted
+			report.Elastic.WastedBoots = d.prov.wasted
 		}
 	}
 	// Hints the slaves warmed but never got granted are wasted remote
@@ -638,23 +652,5 @@ func Run(cfg DeployConfig) (*RunResult, error) {
 		report.Retrieval.WastedHints += chunks
 		report.Retrieval.WastedWarmBytes += bytes
 	}
-	// The buffers' backing-store traffic is the run's true remote egress
-	// through the buffer tier (everything above it was absorbed by
-	// sharing); fold this run's delta in, then drain per-run buffers —
-	// persistent ones stay warm for the driver's next iteration.
-	for _, bs := range buffers {
-		report.Retrieval.BufferBackingBytes += bs.buf.Stats().BackingBytes - bs.startBacking
-		if bs.perRun {
-			bs.buf.Drain()
-		}
-	}
-	// Annotate core counts (the head does not know them).
-	for i := range report.Clusters {
-		for _, site := range cfg.Sites {
-			if site.Name == report.Clusters[i].Site {
-				report.Clusters[i].Cores = site.Cores
-			}
-		}
-	}
-	return result, nil
+	return res
 }

@@ -131,7 +131,7 @@ func startMaster(t *testing.T, cfg DeployConfig, headAddr string, slaves int) (*
 	t.Helper()
 	master, err := NewMaster(MasterConfig{
 		Site: "local", App: cfg.App, Cores: slaves, Slaves: slaves,
-		Batch: 8, Watermark: 4,
+		Batch: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +325,6 @@ func elasticFixture(t *testing.T, coresCloud int) (DeployConfig, int64) {
 	setAppCost(t, &cfg, "3ms")
 	cfg.Clock = netsim.Scaled(0.005)
 	cfg.Batch = 2
-	cfg.Watermark = 1
 	cfg.JobsPerRequest = 1
 	return cfg, records
 }

@@ -45,7 +45,7 @@ func TestSlaveDeathJobsReexecuted(t *testing.T) {
 
 	master, err := NewMaster(MasterConfig{
 		Site: "local", App: cfg.App, Cores: 2, Slaves: 2, // ...plus one doomed worker
-		Batch: 4, Watermark: 2,
+		Batch: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,8 +254,7 @@ func TestStalledSlaveHeartbeatReexecution(t *testing.T) {
 
 	master, err := NewMaster(MasterConfig{
 		Site: "local", App: cfg.App, Cores: 2, Slaves: 2,
-		Batch: 4, Watermark: 2,
-		HeartbeatInterval: 20 * time.Millisecond, HeartbeatMisses: 2,
+		Batch: 4, HeartbeatInterval: 20 * time.Millisecond, HeartbeatMisses: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -343,8 +342,7 @@ func chaosRun(t *testing.T, seed int64) (*metrics.RunReport, gr.Reduction, map[f
 	head, headAddr := startHead(t, cfg)
 	master, err := NewMaster(MasterConfig{
 		Site: "local", App: cfg.App, Cores: 2, Slaves: 2,
-		Batch: 4, Watermark: 2,
-		HeartbeatInterval: 15 * time.Millisecond, HeartbeatMisses: 2,
+		Batch: 4, HeartbeatInterval: 15 * time.Millisecond, HeartbeatMisses: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

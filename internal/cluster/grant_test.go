@@ -218,7 +218,7 @@ type scriptedHead struct {
 func startCappedMaster(t *testing.T, cfg DeployConfig, slaves int) (*scriptedHead, string, chan error) {
 	t.Helper()
 	headLn := mustListen(t)
-	master, err := NewMaster(MasterConfig{Site: "local", App: cfg.App, Cores: 1, Slaves: slaves, Batch: 2, Watermark: 1})
+	master, err := NewMaster(MasterConfig{Site: "local", App: cfg.App, Cores: 1, Slaves: slaves, Batch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,11 +26,9 @@ type MasterConfig struct {
 	// master finishes its local combine after hearing from all.
 	Slaves int
 	// Batch is how many jobs to request from the head per refill
-	// (values below 1 default to 2x cores or 8).
+	// (values below 1 default to 2x cores or 8); the master refills
+	// whenever its queue drops below half a batch.
 	Batch int
-	// Watermark refills the pool when it drops below this many jobs
-	// (default: half the batch).
-	Watermark int
 	// HintDepth piggybacks up to this many "likely next" jobs — the
 	// front of the local queue — as prefetch hints on every job grant,
 	// so slaves can warm their chunk cache deeper than one grant. Zero
@@ -86,12 +84,6 @@ func (c MasterConfig) withDefaults() MasterConfig {
 			c.Batch = 8
 		}
 	}
-	if c.Watermark < 1 {
-		c.Watermark = c.Batch / 2
-		if c.Watermark < 1 {
-			c.Watermark = 1
-		}
-	}
 	if c.Clock == nil {
 		c.Clock = netsim.Instant()
 	}
@@ -138,9 +130,8 @@ type Master struct {
 	// connection is draining, end-of-run grants are held back — the
 	// drain may return work to the queue, and handing out done=true
 	// early would strand it.
-	conns    map[int]*wire.Conn
-	draining map[int]bool
-	drains   int // completed drains (logging)
+	conns    map[*slaveConn]bool
+	draining map[*slaveConn]bool
 	// progress counts every slave-reported completion as it happens —
 	// the advisory gauge piggybacked upstream for the head's grant cap
 	// and the elastic controller. Unlike m.completed it is never
@@ -163,17 +154,12 @@ type Master struct {
 	// cache-resident chunk ids; the refill loop folds the union into
 	// its upstream requests so the head can steer stealing away from
 	// chunks this cluster already has warm.
-	resident map[int][]int32
-	nextConn int // slave connection ids for the resident map
+	resident map[*slaveConn][]int32
 
-	// ckpts holds each connection's newest partial-reduction checkpoint
-	// (highest Seq wins; a delivered result deletes it). A checkpoint is
-	// merged exactly once — in slaveLost, when the connection dies
-	// without a result — and adopted counts those merges so the
-	// "all results in" conditions can balance objects against expected:
-	// an adopted checkpoint adds an object without consuming an
-	// expected slot (the dead slave's slot was already subtracted).
-	ckpts   map[int]*checkpoint
+	// adopted counts checkpoints merged by slaveConn.lost, so readyLocked
+	// can balance objects against expected: an adopted checkpoint adds
+	// an object without consuming an expected slot (the dead slave's
+	// slot was already subtracted).
 	adopted int
 
 	// Staging dedup and budget ledger: staged marks chunk ids already
@@ -184,16 +170,7 @@ type Master struct {
 	stagedBytes int64
 	stageWG     sync.WaitGroup
 
-	// Hint-depth feedback: hintDepth is each connection's effective
-	// hint depth (seeded from cfg.HintDepth), halved when the slave's
-	// reported hint-waste ledger grows and restored one step at a time
-	// while it subsides. hintWastePrev remembers the last report for
-	// the trend comparison.
-	hintDepth     map[int]int
-	hintWastePrev map[int]int
-
 	wg sync.WaitGroup
-	ln net.Listener
 
 	doneCh chan error
 }
@@ -212,10 +189,8 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		return nil, err
 	}
 	m := &Master{cfg: cfg, plan: plan, expected: cfg.Slaves, doneCh: make(chan error, 1),
-		resident: make(map[int][]int32), conns: make(map[int]*wire.Conn),
-		draining: make(map[int]bool), ckpts: make(map[int]*checkpoint),
-		hintDepth: make(map[int]int), hintWastePrev: make(map[int]int),
-		staged: make(map[int32]bool)}
+		resident: make(map[*slaveConn][]int32), conns: make(map[*slaveConn]bool),
+		draining: make(map[*slaveConn]bool), staged: make(map[int32]bool)}
 	m.merger = gr.NewMerger(cfg.App, gr.MergerOptions{
 		Mode: plan.merge(), Workers: mergeWorkers,
 		Clock: cfg.Clock, CostPerByte: cfg.MergeCost,
@@ -260,7 +235,6 @@ func (m *Master) Run(headAddr string, dial store.Dialer, l net.Listener) (gr.Red
 	m.mu.Unlock()
 
 	// Accept slave connections.
-	m.ln = l
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
@@ -287,14 +261,12 @@ func (m *Master) Run(headAddr string, dial store.Dialer, l net.Listener) (gr.Red
 	}
 
 	// Wait for every slave's result (or a failure).
-	if err := <-m.doneCh; err != nil {
-		l.Close()
-		m.wg.Wait()
-		return nil, err
-	}
+	err = <-m.doneCh
 	l.Close()
 	m.wg.Wait()
-
+	if err != nil {
+		return nil, err
+	}
 	return m.combineAndReport()
 }
 
@@ -312,13 +284,16 @@ func (m *Master) fail(err error) {
 	m.cond.Broadcast()
 }
 
+// watermark is the refill threshold: half a batch, at least one job.
+func (m *Master) watermark() int { return max(m.cfg.Batch/2, 1) }
+
 // refillLoop keeps the local pool topped up: whenever the queue drops
 // below the watermark it requests a batch from the head, piggybacking
 // completed-job acknowledgements.
 func (m *Master) refillLoop() error {
 	for {
 		m.mu.Lock()
-		for len(m.queue) >= m.cfg.Watermark && m.failed == nil {
+		for len(m.queue) >= m.watermark() && m.failed == nil {
 			m.cond.Wait()
 		}
 		if m.failed != nil {
@@ -462,18 +437,18 @@ func (m *Master) applyScale(target int) {
 func (m *Master) DrainSlaves(n int) int {
 	m.mu.Lock()
 	var victims []*wire.Conn
-	for id, c := range m.conns {
+	for sc := range m.conns {
 		if len(victims) >= n {
 			break
 		}
-		if m.draining[id] {
+		if m.draining[sc] {
 			continue
 		}
 		if len(m.conns)-len(m.draining) <= 1 {
 			break // never drain the last active worker
 		}
-		m.draining[id] = true
-		victims = append(victims, c)
+		m.draining[sc] = true
+		victims = append(victims, sc.c)
 	}
 	m.mu.Unlock()
 	m.cond.Broadcast() // waiters in takeJobs re-check their drain flag
@@ -551,70 +526,109 @@ type checkpoint struct {
 	stats   wire.Stats
 }
 
-// noteHintWaste folds one slave's reported hint-waste ledger into its
-// effective hint depth: waste climbing means the hints this connection
-// warms are being granted elsewhere, so its depth halves (the trims are
-// counted); waste flat or subsiding earns the depth back one step per
-// report, up to the configured ceiling.
-func (m *Master) noteHintWaste(connID, waste int) {
-	if m.cfg.HintDepth <= 0 {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	prev, seen := m.hintWastePrev[connID]
-	m.hintWastePrev[connID] = waste
-	depth, ok := m.hintDepth[connID]
-	if !ok {
-		depth = m.cfg.HintDepth
-	}
-	switch {
-	case seen && waste > prev:
-		if depth > 1 {
-			depth /= 2
-			m.faults.CountHintTrim()
-			m.cfg.Logf("master %s: conn %d hint waste %d->%d, depth trimmed to %d",
-				m.cfg.Site, connID, prev, waste, depth)
-		}
-	case waste <= prev && depth < m.cfg.HintDepth:
-		depth++
-	}
-	m.hintDepth[connID] = depth
-}
-
-// hintDepthLocked is the effective hint depth for a connection.
-func (m *Master) hintDepthLocked(connID int) int {
-	if d, ok := m.hintDepth[connID]; ok {
-		return d
-	}
-	return m.cfg.HintDepth
-}
-
 // drainsPendingExceptLocked reports whether any connection other than
-// connID has been commanded to drain but not yet delivered its result.
-func (m *Master) drainsPendingExceptLocked(connID int) bool {
-	for id := range m.draining {
-		if id != connID {
+// sc has been commanded to drain but not yet delivered its result.
+func (m *Master) drainsPendingExceptLocked(sc *slaveConn) bool {
+	for other := range m.draining {
+		if other != sc {
 			return true
 		}
 	}
 	return false
 }
 
-// handleSlave serves one slave connection: grant jobs until the pool
-// is dry, then collect the slave's reduction object.
+// slaveConn is the master's side of one slave connection. After
+// registering (or joining mid-run) the slave sends job requests,
+// checkpoints and preempt warnings in any order, and the connection
+// leaves through exactly one of two exits: result, when the slave
+// delivers its reduction object, or lost, when the connection fails
+// first; close tears it down after either. Apart from c, which
+// DrainSlaves pushes to, only the connection's goroutine uses its fields.
 //
 // Fault tolerance (an extension beyond the paper): a slave's completed
 // jobs are only acknowledged upstream once its reduction object has
 // arrived safely. If the slave dies first, every job it was ever
 // granted is requeued — its partial reduction object died with it, so
 // even "completed" jobs must be re-executed.
+type slaveConn struct {
+	m    *Master
+	c    *wire.Conn
+	peer net.Addr
+	// granted is every job ever granted on this connection; only a
+	// checkpoint adoption in lost removes entries.
+	granted  map[int32]wire.JobAssign
+	reported []int32 // every completion the slave has sent
+	// oc incrementally decodes this connection's streamed objects
+	// (checkpoints, then the result), one at a time.
+	oc objectCollector
+	// ckpt is the newest checkpoint (highest Seq wins). Only lost merges
+	// it, so a delivered result supersedes it.
+	ckpt *checkpoint
+	// hintDepth is the connection's effective hint depth, seeded from
+	// cfg.HintDepth; hintWaste is the slave's last reported hint-waste
+	// ledger (seenWaste once it has reported), whose trend moves it.
+	hintDepth, hintWaste int
+	seenWaste            bool
+}
+
+// handleSlave serves one slave connection from registration to its
+// exit. A non-nil error is a protocol violation and fails the run.
 func (m *Master) handleSlave(c *wire.Conn) error {
-	defer c.Close()
+	sc, err := m.register(c)
+	if err != nil {
+		c.Close()
+		return err
+	}
+	defer sc.close()
+	for {
+		req, err := c.Recv()
+		if err != nil {
+			if wire.IsTimeout(err) {
+				// The connection is still open but the slave went
+				// silent: a stall, not a crash. Same recovery path —
+				// everything it held is re-executed.
+				m.faults.CountHeartbeatMiss()
+				m.cfg.Logf("master %s: slave %v stalled (no traffic for %v), declaring lost",
+					m.cfg.Site, sc.peer, m.cfg.HeartbeatInterval*time.Duration(m.cfg.HeartbeatMisses))
+			}
+			sc.lost()
+			return nil
+		}
+		switch req.Kind {
+		case wire.KindHeartbeat:
+			// Liveness only; Recv re-armed the idle deadline.
+		case wire.KindObjectPart:
+			// One bounded frame of a streamed object (checkpoint or
+			// result); the collector's decode goroutine consumes it while
+			// later parts are still in flight.
+			if err := sc.oc.feed(req); err != nil {
+				return fmt.Errorf("cluster: master %s: slave %v object stream: %w", m.cfg.Site, sc.peer, err)
+			}
+		case wire.KindCheckpoint:
+			sc.checkpoint(req)
+		case wire.KindPreemptWarn:
+			err = sc.preemptWarn()
+		case wire.KindRequestJob:
+			err = sc.request(req)
+		case wire.KindSlaveResult:
+			return sc.result(req)
+		default:
+			return fmt.Errorf("cluster: master %s: unexpected %v from slave %v", m.cfg.Site, req.Kind, sc.peer)
+		}
+		if err != nil {
+			sc.lost() // a slave we cannot send to is as lost as a dead one
+			return nil
+		}
+	}
+}
+
+// register reads a slave's registration, acks it and enrolls the
+// connection in the master's membership.
+func (m *Master) register(c *wire.Conn) (*slaveConn, error) {
 	addr := c.RemoteAddr()
 	reg, err := c.Recv()
 	if err != nil {
-		return fmt.Errorf("cluster: master %s: slave %v register: %w", m.cfg.Site, addr, err)
+		return nil, fmt.Errorf("cluster: master %s: slave %v register: %w", m.cfg.Site, addr, err)
 	}
 	switch reg.Kind {
 	case wire.KindRegisterSlave:
@@ -628,11 +642,11 @@ func (m *Master) handleSlave(c *wire.Conn) error {
 		m.mu.Unlock()
 		m.cfg.Logf("master %s: slave %v joined mid-run (%d expected)", m.cfg.Site, addr, joined)
 	default:
-		return fmt.Errorf("cluster: master %s: slave %v: expected register-slave or join, got %v",
+		return nil, fmt.Errorf("cluster: master %s: slave %v: expected register-slave or join, got %v",
 			m.cfg.Site, addr, reg.Kind)
 	}
 	if err := c.Send(&wire.Message{Kind: wire.KindAck}); err != nil {
-		return err
+		return nil, err
 	}
 	if m.cfg.HeartbeatInterval > 0 {
 		// A registered slave must show signs of life — a request or a
@@ -642,279 +656,196 @@ func (m *Master) handleSlave(c *wire.Conn) error {
 		c.SetIdleTimeout(window)
 		c.SetWriteTimeout(window)
 	}
-
-	granted := make(map[int32]wire.JobAssign)
-	var completed []int32
-	// oc incrementally decodes this connection's streamed objects
-	// (checkpoints, then the result), one at a time.
-	oc := objectCollector{app: m.cfg.App, conn: c}
-
+	sc := &slaveConn{m: m, c: c, peer: addr, granted: make(map[int32]wire.JobAssign),
+		oc: objectCollector{app: m.cfg.App, conn: c}, hintDepth: m.cfg.HintDepth}
 	m.mu.Lock()
-	connID := m.nextConn
-	m.nextConn++
-	m.conns[connID] = c
+	m.conns[sc] = true
 	m.mu.Unlock()
-	defer func() {
-		oc.abort(fmt.Errorf("cluster: master %s: slave %v connection closed mid-stream", m.cfg.Site, addr))
+	return sc, nil
+}
+
+// request books the completions a job request reports and answers it
+// with a grant from the local queue, returning the grant's send error.
+func (sc *slaveConn) request(req *wire.Message) error {
+	m := sc.m
+	sc.reported = append(sc.reported, req.Completed...)
+	if n := len(req.Completed); n > 0 {
 		m.mu.Lock()
-		delete(m.resident, connID)
-		delete(m.conns, connID)
-		delete(m.draining, connID)
-		delete(m.ckpts, connID)
-		delete(m.hintDepth, connID)
-		delete(m.hintWastePrev, connID)
-		m.mu.Unlock()
-		// A vanished drain no longer holds back end-of-run grants.
-		m.cond.Broadcast()
-	}()
-
-	for {
-		req, err := c.Recv()
-		if err != nil {
-			if wire.IsTimeout(err) {
-				// The connection is still open but the slave went
-				// silent: a stall, not a crash. Same recovery path —
-				// everything it held is re-executed.
-				m.faults.CountHeartbeatMiss()
-				m.cfg.Logf("master %s: slave %v stalled (no traffic for %v), declaring lost",
-					m.cfg.Site, addr, m.cfg.HeartbeatInterval*time.Duration(m.cfg.HeartbeatMisses))
-			}
-			m.slaveLost(connID, granted, completed)
-			return nil
-		}
-		switch req.Kind {
-		case wire.KindHeartbeat:
-			continue // liveness only; Recv re-armed the idle deadline
-
-		case wire.KindObjectPart:
-			// One bounded frame of a streamed object (checkpoint or
-			// result); the collector's decode goroutine consumes it while
-			// later parts are still in flight.
-			if err := oc.feed(req); err != nil {
-				return fmt.Errorf("cluster: master %s: slave %v object stream: %w", m.cfg.Site, addr, err)
-			}
-			continue
-
-		case wire.KindCheckpoint:
-			// One-way push: keep only the newest sequence, so a delayed
-			// duplicate can never roll a partial reduction back. The
-			// checkpoint is merged only if this connection dies without
-			// delivering a result.
-			obj, err := takeObject(m.cfg.App, &oc, req)
-			if err != nil {
-				// A checkpoint that cannot be decoded is dropped, not
-				// fatal: the master just keeps the previous one.
-				m.cfg.Logf("master %s: discarding undecodable checkpoint from %v: %v", m.cfg.Site, addr, err)
-				continue
-			}
-			m.mu.Lock()
-			if old := m.ckpts[connID]; old == nil || req.Seq > old.seq {
-				m.ckpts[connID] = &checkpoint{
-					seq: req.Seq, object: obj,
-					covered: req.Completed, stats: req.Stats,
-				}
-			}
-			m.mu.Unlock()
-			continue
-
-		case wire.KindPreemptWarn:
-			// The slave is revocation-warned and starts an accelerated
-			// drain; mark it draining BEFORE acking so no other worker
-			// can take an end-of-run grant while the drain's returned
-			// jobs are still in flight back to the queue.
-			m.mu.Lock()
-			m.draining[connID] = true
-			m.mu.Unlock()
-			m.faults.CountPreemptWarn()
-			m.cfg.Logf("master %s: slave %v preempt-warned, accelerated drain", m.cfg.Site, addr)
+		m.progress += n
+		if m.capped {
 			m.cond.Broadcast()
-			if err := c.Send(&wire.Message{Kind: wire.KindAck}); err != nil {
-				m.slaveLost(connID, granted, completed)
-				return nil
-			}
-
-		case wire.KindRequestJob:
-			completed = append(completed, req.Completed...)
-			if n := len(req.Completed); n > 0 {
-				m.mu.Lock()
-				m.progress += n
-				if m.capped {
-					m.cond.Broadcast()
-				}
-				m.mu.Unlock()
-			}
-			m.noteHintWaste(connID, req.HintWasteChunks)
-			if req.Resident != nil {
-				// An empty report still replaces the previous one: a
-				// drained cache must clear its stale warm set.
-				m.mu.Lock()
-				m.resident[connID] = req.Resident
-				m.mu.Unlock()
-			}
-			jobs, hints, done, drain := m.takeJobs(max(req.Max, 1), connID, len(granted) > len(completed))
-			for _, j := range jobs {
-				granted[j.Chunk] = j
-			}
-			m.stageHints(hints)
-			if err := c.Send(&wire.Message{
-				Kind: wire.KindJobGrant, Jobs: jobs, Hints: hints, Done: done, Drain: drain,
-			}); err != nil {
-				m.slaveLost(connID, granted, completed)
-				return nil
-			}
-
-		case wire.KindSlaveResult:
-			completed = append(completed, req.Completed...)
-			// Chunk conservation: completions plus drain-returns must
-			// cover everything ever granted to this connection, exactly
-			// once each. A drain that drops a chunk or a return that
-			// overlaps a completion would silently skew the reduction,
-			// so both fail the run loudly here.
-			outstanding := make(map[int32]bool, len(granted))
-			for id := range granted {
-				outstanding[id] = true
-			}
-			for _, id := range completed {
-				if !outstanding[id] {
-					return fmt.Errorf("cluster: master %s: slave %v completed chunk %d it did not hold",
-						m.cfg.Site, addr, id)
-				}
-				delete(outstanding, id)
-			}
-			var returned []wire.JobAssign
-			for _, id := range req.Returned {
-				if !outstanding[id] {
-					return fmt.Errorf("cluster: master %s: slave %v returned chunk %d it did not hold",
-						m.cfg.Site, addr, id)
-				}
-				delete(outstanding, id)
-				returned = append(returned, granted[id])
-			}
-			if len(outstanding) != 0 {
-				return fmt.Errorf("cluster: master %s: slave %v completed or returned %d of %d granted jobs",
-					m.cfg.Site, addr, len(granted)-len(outstanding), len(granted))
-			}
-			obj, err := takeObject(m.cfg.App, &oc, req)
-			if err != nil {
-				return fmt.Errorf("cluster: master %s: decode slave %v result: %w", m.cfg.Site, addr, err)
-			}
-			if err := c.Send(&wire.Message{Kind: wire.KindAck}); err != nil {
-				return err
-			}
-			if m.plan.streamed {
-				// Availability-driven combine: the object merges now, on
-				// this handler's goroutine (or a merge worker), while
-				// other slaves are still streaming theirs.
-				m.merger.Add(obj)
-			}
-			m.mu.Lock()
-			// The delivered result supersedes any checkpoint: merging
-			// both would double-count every job the checkpoint covers.
-			delete(m.ckpts, connID)
-			m.completed = append(m.completed, completed...)
-			m.progress += len(req.Completed)
-			if !m.plan.streamed {
-				m.slaveObjs = append(m.slaveObjs, obj)
-			}
-			m.results++
-			m.slaveStats = append(m.slaveStats, req.Stats)
-			if req.Returned != nil {
-				// Drain result: the partial reduction above stands, and
-				// the unprocessed remainder goes back to the local queue
-				// for the surviving workers (or cross-site stealing once
-				// the head re-pools it).
-				m.queue = append(m.queue, returned...)
-				m.drains++
-				m.cfg.Logf("master %s: slave %v drained: %d done, %d returned",
-					m.cfg.Site, addr, len(completed), len(returned))
-			}
-			ready := !m.finished && m.results == m.expected+m.adopted && m.failed == nil
-			if ready {
-				m.finished = true
-			}
-			m.mu.Unlock()
-			m.cond.Broadcast() // returned work and cleared drains wake takeJobs
-			if ready {
-				m.doneCh <- nil
-			}
-			return nil
-
-		default:
-			return fmt.Errorf("cluster: master %s: unexpected %v from slave %v", m.cfg.Site, req.Kind, addr)
 		}
+		m.mu.Unlock()
+	}
+	sc.noteHintWaste(req.HintWasteChunks)
+	if req.Resident != nil {
+		// An empty report still replaces the previous one: a drained
+		// cache must clear its stale warm set.
+		m.mu.Lock()
+		m.resident[sc] = req.Resident
+		m.mu.Unlock()
+	}
+	jobs, hints, done, drain := sc.takeJobs(max(req.Max, 1))
+	for _, j := range jobs {
+		sc.granted[j.Chunk] = j
+	}
+	m.stageHints(hints)
+	return sc.c.Send(&wire.Message{Kind: wire.KindJobGrant, Jobs: jobs, Hints: hints, Done: done, Drain: drain})
+}
+
+// noteHintWaste folds one slave's reported hint-waste ledger into its
+// effective hint depth: waste climbing means the hints this connection
+// warms are being granted elsewhere, so its depth halves (the trims are
+// counted); waste flat or subsiding earns the depth back one step per
+// report, up to the configured ceiling.
+func (sc *slaveConn) noteHintWaste(waste int) {
+	m := sc.m
+	if m.cfg.HintDepth <= 0 {
+		return
+	}
+	prev, seen := sc.hintWaste, sc.seenWaste
+	sc.hintWaste, sc.seenWaste = waste, true
+	switch {
+	case seen && waste > prev:
+		if sc.hintDepth > 1 {
+			sc.hintDepth /= 2
+			m.faults.CountHintTrim()
+			m.cfg.Logf("master %s: slave %v hint waste %d->%d, depth trimmed to %d",
+				m.cfg.Site, sc.peer, prev, waste, sc.hintDepth)
+		}
+	case waste <= prev && sc.hintDepth < m.cfg.HintDepth:
+		sc.hintDepth++
 	}
 }
 
-// slaveLost requeues everything a dead slave had been granted and
-// lowers the expected-result count. If the connection shipped a
-// checkpoint before dying, its newest partial reduction is adopted
-// first: the jobs it covers are subtracted from the requeue set and
-// acknowledged upstream, so only work since the checkpoint is
-// re-executed. reported lists the completions the slave already sent;
-// covered jobs beyond them count toward the progress gauge here. If no
-// slaves remain, the cluster cannot finish and the run fails.
-func (m *Master) slaveLost(connID int, granted map[int32]wire.JobAssign, reported []int32) {
-	m.mu.Lock()
-	if ck := m.ckpts[connID]; ck != nil {
-		delete(m.ckpts, connID)
-		// Every covered chunk must still be on this connection's granted
-		// ledger (granted entries are never removed before the result);
-		// anything else means a corrupt or foreign checkpoint, which is
-		// discarded rather than risking a double merge.
-		valid := true
-		for _, id := range ck.covered {
-			if _, ok := granted[id]; !ok {
-				valid = false
-				break
-			}
-		}
-		if valid {
-			// A covered job the slave never reported is finished all the
-			// same: the head's grant cap reads granted − progress as what
-			// this site still holds, and a job it never sees complete
-			// would keep the site capped with nothing left to run.
-			seen := make(map[int32]bool, len(reported))
-			for _, id := range reported {
-				seen[id] = true
-			}
-			for _, id := range ck.covered {
-				delete(granted, id)
-				if !seen[id] {
-					m.progress++
-				}
-			}
-			m.completed = append(m.completed, ck.covered...)
-			if m.plan.streamed {
-				m.merger.Add(ck.object)
-			} else {
-				m.slaveObjs = append(m.slaveObjs, ck.object)
-			}
-			m.results++
-			m.slaveStats = append(m.slaveStats, ck.stats)
-			m.adopted++
-			m.faults.CountCheckpointAdopt(len(ck.covered))
-			m.cfg.Logf("master %s: adopted checkpoint seq %d (%d jobs saved from re-execution)",
-				m.cfg.Site, ck.seq, len(ck.covered))
-		} else {
-			m.cfg.Logf("master %s: discarding checkpoint covering un-granted chunks", m.cfg.Site)
-		}
+// checkpoint keeps the newest of the slave's one-way checkpoint
+// pushes, so a delayed duplicate can never roll a partial reduction
+// back. It is merged only if the connection is lost.
+func (sc *slaveConn) checkpoint(req *wire.Message) {
+	m := sc.m
+	obj, err := takeObject(m.cfg.App, &sc.oc, req)
+	if err != nil {
+		// A checkpoint that cannot be decoded is dropped, not fatal: the
+		// master just keeps the previous one.
+		m.cfg.Logf("master %s: discarding undecodable checkpoint from %v: %v", m.cfg.Site, sc.peer, err)
+		return
 	}
-	for _, j := range granted {
+	if sc.ckpt == nil || req.Seq > sc.ckpt.seq {
+		sc.ckpt = &checkpoint{seq: req.Seq, object: obj, covered: req.Completed, stats: req.Stats}
+	}
+}
+
+// preemptWarn marks a revocation-warned slave draining BEFORE acking,
+// so no other worker can take an end-of-run grant while the drain's
+// returned jobs are still in flight back to the queue. It returns the
+// ack's send error.
+func (sc *slaveConn) preemptWarn() error {
+	m := sc.m
+	m.mu.Lock()
+	m.draining[sc] = true
+	m.mu.Unlock()
+	m.faults.CountPreemptWarn()
+	m.cfg.Logf("master %s: slave %v preempt-warned, accelerated drain", m.cfg.Site, sc.peer)
+	m.cond.Broadcast()
+	return sc.c.Send(&wire.Message{Kind: wire.KindAck})
+}
+
+// result is the delivered exit: it checks the slave accounted for
+// every job it was granted, acks, and hands the object to the local
+// combine; a drain's returned jobs go back to the queue.
+func (sc *slaveConn) result(req *wire.Message) error {
+	m := sc.m
+	sc.reported = append(sc.reported, req.Completed...)
+	// Chunk conservation: completions plus drain-returns must cover
+	// everything ever granted to this connection, exactly once each. A
+	// drain that drops a chunk or a return that overlaps a completion
+	// would silently skew the reduction, so both fail the run loudly.
+	outstanding := make(map[int32]bool, len(sc.granted))
+	for id := range sc.granted {
+		outstanding[id] = true
+	}
+	for _, id := range sc.reported {
+		if !outstanding[id] {
+			return fmt.Errorf("cluster: master %s: slave %v completed chunk %d it did not hold",
+				m.cfg.Site, sc.peer, id)
+		}
+		delete(outstanding, id)
+	}
+	var returned []wire.JobAssign
+	for _, id := range req.Returned {
+		if !outstanding[id] {
+			return fmt.Errorf("cluster: master %s: slave %v returned chunk %d it did not hold",
+				m.cfg.Site, sc.peer, id)
+		}
+		delete(outstanding, id)
+		returned = append(returned, sc.granted[id])
+	}
+	if len(outstanding) != 0 {
+		return fmt.Errorf("cluster: master %s: slave %v completed or returned %d of %d granted jobs",
+			m.cfg.Site, sc.peer, len(sc.granted)-len(outstanding), len(sc.granted))
+	}
+	obj, err := takeObject(m.cfg.App, &sc.oc, req)
+	if err != nil {
+		return fmt.Errorf("cluster: master %s: decode slave %v result: %w", m.cfg.Site, sc.peer, err)
+	}
+	if err := sc.c.Send(&wire.Message{Kind: wire.KindAck}); err != nil {
+		return err
+	}
+	if m.plan.streamed {
+		// Availability-driven combine: the object merges now, on this
+		// handler's goroutine (or a merge worker), while other slaves
+		// are still streaming theirs.
+		m.merger.Add(obj)
+	}
+	m.mu.Lock()
+	m.completed = append(m.completed, sc.reported...)
+	m.progress += len(req.Completed)
+	if !m.plan.streamed {
+		m.slaveObjs = append(m.slaveObjs, obj)
+	}
+	m.results++
+	m.slaveStats = append(m.slaveStats, req.Stats)
+	if req.Returned != nil {
+		// Drain result: the partial reduction above stands, and the
+		// unprocessed remainder goes back to the local queue for the
+		// surviving workers (or cross-site stealing once the head
+		// re-pools it).
+		m.queue = append(m.queue, returned...)
+		m.cfg.Logf("master %s: slave %v drained: %d done, %d returned",
+			m.cfg.Site, sc.peer, len(sc.reported), len(returned))
+	}
+	ready := m.readyLocked()
+	m.mu.Unlock()
+	m.cond.Broadcast() // returned work and cleared drains wake takeJobs
+	if ready {
+		m.doneCh <- nil
+	}
+	return nil
+}
+
+// lost is the failed exit: the slave died, stalled or could not be
+// sent to. Its newest checkpoint, if any, is adopted first, so only
+// work since the checkpoint re-executes; every other job it was
+// granted requeues, and the master stops expecting its result. If no
+// slaves remain, the cluster cannot finish and the run fails.
+func (sc *slaveConn) lost() {
+	m := sc.m
+	m.mu.Lock()
+	if sc.ckpt != nil {
+		sc.adoptLocked(sc.ckpt)
+	}
+	for _, j := range sc.granted {
 		m.queue = append(m.queue, j)
 	}
-	if len(granted) > 0 {
-		m.faults.CountRequeue(len(granted))
+	if len(sc.granted) > 0 {
+		m.faults.CountRequeue(len(sc.granted))
 	}
 	m.expected--
 	remaining := m.expected
-	results := m.results
 	m.cfg.Logf("master %s: slave lost, requeued %d jobs, %d slaves remain",
-		m.cfg.Site, len(granted), remaining)
+		m.cfg.Site, len(sc.granted), remaining)
 	m.cond.Broadcast()
-	ready := remaining > 0 && results == remaining+m.adopted && m.failed == nil && !m.finished
-	if ready {
-		m.finished = true
-	}
+	ready := m.readyLocked()
 	m.mu.Unlock()
 	if remaining <= 0 {
 		m.fail(fmt.Errorf("cluster: master %s: all slaves lost", m.cfg.Site))
@@ -923,6 +854,75 @@ func (m *Master) slaveLost(connID int, granted map[int32]wire.JobAssign, reporte
 	if ready {
 		m.doneCh <- nil
 	}
+}
+
+// adoptLocked merges a lost connection's newest checkpoint and takes
+// the jobs it covers off the granted ledger, acknowledging them
+// upstream instead of re-executing them.
+func (sc *slaveConn) adoptLocked(ck *checkpoint) {
+	m := sc.m
+	// Every covered chunk must still be on the granted ledger; anything
+	// else means a corrupt or foreign checkpoint, which is discarded
+	// rather than risking a double merge.
+	for _, id := range ck.covered {
+		if _, ok := sc.granted[id]; !ok {
+			m.cfg.Logf("master %s: discarding checkpoint covering un-granted chunks", m.cfg.Site)
+			return
+		}
+	}
+	// A covered job the slave never reported is finished all the same:
+	// the head's grant cap reads granted − progress as what this site
+	// still holds, and a job it never sees complete would keep the site
+	// capped with nothing left to run.
+	seen := make(map[int32]bool, len(sc.reported))
+	for _, id := range sc.reported {
+		seen[id] = true
+	}
+	for _, id := range ck.covered {
+		delete(sc.granted, id)
+		if !seen[id] {
+			m.progress++
+		}
+	}
+	m.completed = append(m.completed, ck.covered...)
+	if m.plan.streamed {
+		m.merger.Add(ck.object)
+	} else {
+		m.slaveObjs = append(m.slaveObjs, ck.object)
+	}
+	m.results++
+	m.slaveStats = append(m.slaveStats, ck.stats)
+	m.adopted++
+	m.faults.CountCheckpointAdopt(len(ck.covered))
+	m.cfg.Logf("master %s: adopted checkpoint seq %d (%d jobs saved from re-execution)",
+		m.cfg.Site, ck.seq, len(ck.covered))
+}
+
+// close tears the connection down after either exit: it joins a
+// half-received object's decoder and drops the connection from the
+// master's membership and per-connection state.
+func (sc *slaveConn) close() {
+	m := sc.m
+	sc.oc.abort(fmt.Errorf("cluster: master %s: slave %v connection closed mid-stream", m.cfg.Site, sc.peer))
+	m.mu.Lock()
+	delete(m.resident, sc)
+	delete(m.conns, sc)
+	delete(m.draining, sc)
+	m.mu.Unlock()
+	// A vanished drain no longer holds back end-of-run grants.
+	m.cond.Broadcast()
+	sc.c.Close()
+}
+
+// readyLocked reports whether every expected object is in — delivered
+// results plus adopted checkpoints — marking the cluster finished the
+// first time it is, so exactly one caller signals doneCh.
+func (m *Master) readyLocked() bool {
+	if m.finished || m.failed != nil || m.expected <= 0 || m.results != m.expected+m.adopted {
+		return false
+	}
+	m.finished = true
+	return true
 }
 
 // takeJobs pops up to max jobs, blocking while the pool is being
@@ -937,17 +937,18 @@ func (m *Master) slaveLost(connID int, granted map[int32]wire.JobAssign, reporte
 // return work to the queue, and a worker released with done=true
 // would never come back for it.
 //
-// holding says the connection still holds jobs it has not reported —
-// a prefetching slave asks for its next grant while it reduces the
-// current one. While the refill loop waits out a capped grant with the
-// queue empty, such a request gets an empty, not-done grant at once:
-// parked, it would keep the current grant's jobs unreported, and the
-// capped wait lasts until this site reports progress.
-func (m *Master) takeJobs(max, connID int, holding bool) (jobs, hints []wire.JobAssign, done, drain bool) {
+// A connection may still hold jobs it has not reported — a prefetching
+// slave asks for its next grant while it reduces the current one.
+// While the refill loop waits out a capped grant with the queue empty,
+// such a request gets an empty, not-done grant at once: parked, it
+// would keep the current grant's jobs unreported, and the capped wait
+// lasts until this site reports progress.
+func (sc *slaveConn) takeJobs(max int) (jobs, hints []wire.JobAssign, done, drain bool) {
+	m, holding := sc.m, len(sc.granted) > len(sc.reported)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
-		if m.draining[connID] {
+		if m.draining[sc] {
 			return nil, nil, false, true
 		}
 		if len(m.queue) > 0 {
@@ -956,7 +957,7 @@ func (m *Master) takeJobs(max, connID int, holding bool) (jobs, hints []wire.Job
 		if m.failed != nil {
 			return nil, nil, true, false
 		}
-		if m.headDone && !m.drainsPendingExceptLocked(connID) {
+		if m.headDone && !m.drainsPendingExceptLocked(sc) {
 			return nil, nil, true, false
 		}
 		if m.capped && holding {
@@ -970,14 +971,14 @@ func (m *Master) takeJobs(max, connID int, holding bool) (jobs, hints []wire.Job
 	}
 	jobs = append([]wire.JobAssign(nil), m.queue[:n]...)
 	m.queue = m.queue[n:]
-	if h := m.hintDepthLocked(connID); h > 0 && len(m.queue) > 0 {
+	if h := sc.hintDepth; h > 0 && len(m.queue) > 0 {
 		if h > len(m.queue) {
 			h = len(m.queue)
 		}
 		hints = append([]wire.JobAssign(nil), m.queue[:h]...)
 	}
 	// Dropping below the watermark wakes the refill loop.
-	if len(m.queue) < m.cfg.Watermark {
+	if len(m.queue) < m.watermark() {
 		m.cond.Broadcast()
 	}
 	return jobs, hints, false, false

@@ -26,7 +26,7 @@ func startMasterLogged(t *testing.T, cfg DeployConfig, headAddr string, slaves i
 	t.Helper()
 	master, err := NewMaster(MasterConfig{
 		Site: "local", App: cfg.App, Cores: slaves, Slaves: slaves,
-		Batch: 8, Watermark: 4,
+		Batch: 8,
 		Logf: func(format string, args ...any) {
 			select {
 			case logs <- strings.ReplaceAll(format, "%", "") + join(args):

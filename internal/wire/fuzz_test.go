@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/iotest"
+	"time"
 )
 
 // fuzzSeedPayloads is the corpus both fuzz targets start from: every
@@ -137,6 +138,93 @@ func FuzzReadInto(f *testing.F) {
 			if want.Kind == KindReadResp && len(got.Data) > 0 && &got.Data[0] != &dst[0] {
 				t.Fatal("chunk reply not delivered in the destination")
 			}
+		}
+	})
+}
+
+// FuzzObjectStream feeds an ObjectStream the part sequence a script
+// describes. Each 3-byte step is a Seq delta, an Off delta and a
+// control byte (bit 7 Last, bits 0-5 a data length taken from the
+// bytes that follow); the deltas shift the in-order Seq and Off a
+// sender would use, so a script can duplicate, skip or misalign parts,
+// send empty parts and keep feeding after Last. An unfinished stream
+// is aborted, as a collector does when its connection dies. The reader
+// must end with exactly the bytes of the parts the stream accepted —
+// every part up to the first Last or the first out-of-order one — and
+// without an error only if a Last was reached in order: never a panic,
+// a hang or reordered bytes.
+func FuzzObjectStream(f *testing.F) {
+	for _, seed := range [][]byte{
+		{},
+		{0, 0, 3, 'a', 'b', 'c', 0, 0, 2, 'd', 'e', 0, 0, 0x81, 'f'}, // in order
+		{0, 0, 2, 'a', 'b', 0xff, 0xfe, 2, 'a', 'b', 0, 0, 0x80},     // duplicate
+		{0, 0, 1, 'a', 1, 0, 0x81, 'b'},                              // gap
+		{0, 0, 1, 'a', 0, 1, 0x81, 'b'},                              // misaligned
+		{0, 0, 0, 0, 0, 0x80},                                        // empty parts
+		{0, 0, 0x81, 'x', 0, 0, 1, 'y', 0, 0, 0x80},                  // feed after Last
+		{0, 0, 2, 'a', 'b'},                                          // never ends
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		s := NewObjectStream()
+		type readResult struct {
+			got []byte
+			err error
+		}
+		read := make(chan readResult, 1)
+		go func() {
+			got, err := io.ReadAll(s.Reader())
+			read <- readResult{got, err}
+		}()
+
+		var want []byte
+		sendSeq, sendOff := 1, int64(0) // the in-order values a sender uses next
+		okSeq, okOff := 1, int64(0)     // what the stream accepts next
+		live, ended := true, false
+		for parts := 0; len(script) >= 3 && parts < 64; parts++ {
+			n := min(int(script[2]&0x3f), len(script)-3)
+			m := &Message{
+				Kind: KindObjectPart, Seq: sendSeq + int(int8(script[0])), Off: sendOff + int64(int8(script[1])),
+				Data: script[3 : 3+n], Last: script[2]&0x80 != 0,
+			}
+			script = script[3+n:]
+			sendSeq, sendOff = sendSeq+1, sendOff+int64(n)
+			done, err := s.Feed(m)
+			if !live {
+				continue // past Last or poisoned: anything but a panic or a hang
+			}
+			if m.Seq != okSeq || m.Off != okOff {
+				if err == nil {
+					t.Fatalf("part seq=%d off=%d accepted, want seq=%d off=%d", m.Seq, m.Off, okSeq, okOff)
+				}
+				live = false
+				continue
+			}
+			if err != nil || done != m.Last {
+				t.Fatalf("in-order part seq=%d: done=%v err=%v, want done=%v", m.Seq, done, err, m.Last)
+			}
+			want = append(want, m.Data...)
+			okSeq, okOff = okSeq+1, okOff+int64(n)
+			live, ended = !m.Last, m.Last
+		}
+		if !ended {
+			s.Abort(errors.New("stream cut"))
+		}
+		var r readResult
+		select {
+		case r = <-read:
+		case <-time.After(10 * time.Second):
+			t.Fatal("reader hung")
+		}
+		if !bytes.Equal(r.got, want) {
+			t.Fatalf("reader got %q, want %q", r.got, want)
+		}
+		if ended != (r.err == nil) {
+			t.Fatalf("reader err = %v after a stream that ended in order: %v", r.err, ended)
+		}
+		if ended && s.Bytes() != int64(len(want)) {
+			t.Fatalf("Bytes = %d, want %d", s.Bytes(), len(want))
 		}
 	})
 }

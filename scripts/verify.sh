@@ -6,14 +6,14 @@
 #   - race passes over every concurrency-heavy package, then twice over
 #     the membership, sync, prefetch-pipeline, copy-free chunk-reply and
 #     fetch/span tests;
-#   - 5 s fuzz runs of the wire decoder, the direct-read path and the
-#     Counter/Concat combiner decoders;
+#   - 5 s fuzz runs of the wire decoder, the direct-read path, the
+#     object-stream reassembly and the Counter/Concat combiner decoders;
 #   - smoke runs (heavily shrunk, digest-checked) of the overlap,
 #     autotune, elastic, spot, buffer, sync and advisor experiments,
 #     and cbadvise reading the history the advisor run wrote;
 #   - the chaos experiment at -records-divisor 10, digest-checked.
 # cbbench and cbadvise are built once and the binaries reused.
-# Budget, measured on a 2-core x86-64 Linux host: ~44 s wall with warm
+# Budget, measured on a 2-core x86-64 Linux host: ~54 s wall with warm
 # build and test caches; ~100 s after an internal/store change, which
 # invalidates the cached results of most packages' tests.
 set -euo pipefail
@@ -42,13 +42,19 @@ go test -race ./internal/cluster/ ./internal/store/ ./internal/chunk/ ./internal
 # retirement, lowest-offset failure bookkeeping). The tail grant cap
 # parks the refill loop on the master's cond until a slave handler's
 # completion, requeue or failure wakes it, so its tests ride along too.
-go test -race -count=2 -run 'Join|Drain|Elastic|Spot|Preempt|Checkpoint|Revocation|Buffer|Prefetch|Budget|Merge|Sync|Exchange|HeadReader|BlockPath|TailCap|Capped' ./internal/cluster/ ./internal/gr/
+# So do the master's per-connection exits (slaveConn) and the deploy's
+# build phase, which must start nothing when a site fails to build.
+go test -race -count=2 -run 'Join|Drain|Elastic|Spot|Preempt|Checkpoint|Revocation|Buffer|Prefetch|Budget|Merge|Sync|Exchange|HeadReader|BlockPath|TailCap|Capped|SlaveConn|StartsNothing' ./internal/cluster/ ./internal/gr/
 go test -race -count=2 -run 'Vectored|OneWritePerSend|RecvInto|DirectRead|BadReplies|Overlong|LentView|BlockKernel|Plan|Span|Fetch' ./internal/wire/ ./internal/store/ ./internal/apps/
 # The wire codec owns every byte on every connection: fuzz the decoder
 # and the direct-read path briefly (corrupt frames must error, never
 # panic, never write outside the destination).
 go test -run '^$' -fuzz FuzzDecode -fuzztime 5s ./internal/wire/
 go test -run '^$' -fuzz FuzzReadInto -fuzztime 5s ./internal/wire/
+# Streamed objects are reassembled from parts a peer numbers: out of
+# order, duplicate or misaligned parts must poison the stream, never
+# reorder bytes or hang the reader.
+go test -run '^$' -fuzz FuzzObjectStream -fuzztime 5s ./internal/wire/
 # Reduction objects arrive off the wire too: the hand-rolled Counter
 # and Concat decoders must reject corrupt counts and lengths.
 go test -run '^$' -fuzz FuzzCombinerDecode -fuzztime 5s ./internal/gr/
