@@ -18,6 +18,7 @@ import (
 	"cloudburst/internal/advisor"
 	_ "cloudburst/internal/apps" // register built-in applications
 	"cloudburst/internal/cli"
+	"cloudburst/internal/cli/debugsrv"
 	"cloudburst/internal/cluster"
 	"cloudburst/internal/elastic"
 	"cloudburst/internal/gr"
@@ -50,8 +51,14 @@ func main() {
 		advise     = flag.String("advise", "", "plan the burst from run history: the advised fleet warm-starts the elastic controller; value is the link class to match (e.g. prod-wan); requires -history-dir and -deadline")
 		historyDir = flag.String("history-dir", "", "run-history database: completed runs are recorded here, and -advise plans from it")
 		budget     = flag.Float64("advise-budget", 0, "advise: USD cap on the plan's expected cost (0 = uncapped)")
+		debug      = debugsrv.Flag()
 	)
 	flag.Parse()
+	if ln, err := debugsrv.Serve(*debug); err != nil {
+		fatal(err)
+	} else if ln != nil {
+		fmt.Fprintf(os.Stderr, "cbhead: pprof on http://%s/debug/pprof/\n", ln.Addr())
+	}
 	if *appName == "" {
 		fatal(fmt.Errorf("-app is required (one of %v)", gr.Apps()))
 	}

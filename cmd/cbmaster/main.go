@@ -15,6 +15,7 @@ import (
 
 	_ "cloudburst/internal/apps" // register built-in applications
 	"cloudburst/internal/cli"
+	"cloudburst/internal/cli/debugsrv"
 	"cloudburst/internal/cluster"
 	"cloudburst/internal/gr"
 	"cloudburst/internal/netsim"
@@ -37,8 +38,14 @@ func main() {
 		stageMB  = flag.Int64("stage-budget-mb", 0, "cap on bytes staged into the buffer over the run (0 = unlimited)")
 		syncMode = flag.String("sync-mode", "", "global-reduction sync: streamed-parallel (default) or monolithic (must match the head's)")
 		quiet    = flag.Bool("q", false, "suppress progress logging")
+		debug    = debugsrv.Flag()
 	)
 	flag.Parse()
+	if ln, err := debugsrv.Serve(*debug); err != nil {
+		fatal(err)
+	} else if ln != nil {
+		fmt.Fprintf(os.Stderr, "cbmaster: pprof on http://%s/debug/pprof/\n", ln.Addr())
+	}
 	if *site == "" || *headAddr == "" || *appName == "" {
 		fatal(fmt.Errorf("-site, -head, and -app are required"))
 	}

@@ -18,6 +18,7 @@ import (
 
 	_ "cloudburst/internal/apps" // register built-in applications
 	"cloudburst/internal/cli"
+	"cloudburst/internal/cli/debugsrv"
 	"cloudburst/internal/cluster"
 	"cloudburst/internal/gr"
 	"cloudburst/internal/netsim"
@@ -46,8 +47,14 @@ func main() {
 		join       = flag.Bool("join", false, "join a running cluster mid-run (elastic scale-up) instead of counting against the deploy-time membership")
 		ckptJobs   = flag.Int("checkpoint-jobs", 0, "ship a partial-reduction checkpoint to the master every N processed jobs (0 disables; bounds work lost to spot revocation)")
 		syncMode   = flag.String("sync-mode", "", "global-reduction sync: streamed-parallel (default) or monolithic (must match the master's)")
+		debug      = debugsrv.Flag()
 	)
 	flag.Parse()
+	if ln, err := debugsrv.Serve(*debug); err != nil {
+		fatal(err)
+	} else if ln != nil {
+		fmt.Fprintf(os.Stderr, "cbslave: pprof on http://%s/debug/pprof/\n", ln.Addr())
+	}
 	if *site == "" || *masterAddr == "" || *appName == "" || *dataDir == "" {
 		fatal(fmt.Errorf("-site, -master, -app, and -data-dir are required"))
 	}

@@ -23,6 +23,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"cloudburst/internal/cli/debugsrv"
 	"cloudburst/internal/netsim"
 	"cloudburst/internal/store"
 )
@@ -37,8 +38,14 @@ func main() {
 		bufferMB = flag.Int64("buffer-mb", 512, "buffer capacity in MiB (mode buffer)")
 		threads  = flag.Int("threads", 0, "concurrent range readers per backing fetch (0 = default; mode buffer)")
 		autotune = flag.Bool("autotune", false, "AIMD-tune the site-wide backing fetch concurrency (mode buffer)")
+		debug    = debugsrv.Flag()
 	)
 	flag.Parse()
+	if ln, err := debugsrv.Serve(*debug); err != nil {
+		fatal(err)
+	} else if ln != nil {
+		fmt.Fprintf(os.Stderr, "cbstore: pprof on http://%s/debug/pprof/\n", ln.Addr())
+	}
 
 	var served store.Store
 	var closer func()

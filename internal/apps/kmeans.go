@@ -207,26 +207,16 @@ func (r *kmeansRed) Encode(w io.Writer) error {
 	if err := r.sums.Encode(w); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, int64(len(r.n))); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, r.n)
+	return gr.EncodeInt64s(w, r.n)
 }
 
 func (r *kmeansRed) Decode(rd io.Reader) error {
-	r.sums = &gr.VectorSum{}
 	if err := r.sums.Decode(rd); err != nil {
 		return err
 	}
-	var k int64
-	if err := binary.Read(rd, binary.LittleEndian, &k); err != nil {
-		return err
-	}
-	if k < 0 || k > 1<<24 {
-		return fmt.Errorf("apps: kmeans decode bad k %d", k)
-	}
-	r.n = make([]int64, k)
-	return binary.Read(rd, binary.LittleEndian, r.n)
+	var err error
+	r.n, err = gr.DecodeInt64s(rd, r.n)
+	return err
 }
 
 func (r *kmeansRed) Bytes() int { return r.sums.Bytes() + 8*len(r.n) }

@@ -156,12 +156,9 @@ func (r *knnRed) Merge(other gr.Reduction) error {
 	return r.top.Merge(o.top)
 }
 
-func (r *knnRed) Encode(w io.Writer) error { return r.top.Encode(w) }
-func (r *knnRed) Decode(rd io.Reader) error {
-	r.top = &gr.TopK{}
-	return r.top.Decode(rd)
-}
-func (r *knnRed) Bytes() int { return r.top.Bytes() }
+func (r *knnRed) Encode(w io.Writer) error  { return r.top.Encode(w) }
+func (r *knnRed) Decode(rd io.Reader) error { return r.top.Decode(rd) }
+func (r *knnRed) Bytes() int                { return r.top.Bytes() }
 
 // Neighbors exposes the current best set, ordered best-first.
 func (r *knnRed) Neighbors() []gr.Scored { return r.top.Sorted() }

@@ -153,7 +153,7 @@ func (r *pagerankRed) Merge(other gr.Reduction) error {
 }
 
 func (r *pagerankRed) Encode(w io.Writer) error  { return r.next.Encode(w) }
-func (r *pagerankRed) Decode(rd io.Reader) error { r.next = &gr.VectorSum{}; return r.next.Decode(rd) }
+func (r *pagerankRed) Decode(rd io.Reader) error { return r.next.Decode(rd) }
 func (r *pagerankRed) Bytes() int                { return r.next.Bytes() }
 
 // NextRanks finalizes the iteration: accumulated link mass plus the

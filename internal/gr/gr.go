@@ -38,7 +38,11 @@ type Reduction interface {
 	Merge(other Reduction) error
 	// Encode serializes the object for inter-cluster transfer.
 	Encode(w io.Writer) error
-	// Decode replaces the object's state from Encode's output.
+	// Decode replaces the object's state from Encode's output. It may
+	// decode into the storage the receiver already holds (what
+	// NewReduction allocated) but must then overwrite all of it, and
+	// it allocates only as bytes are read, never from a length or
+	// count header alone: objects arrive from peers and checkpoints.
 	Decode(r io.Reader) error
 	// Bytes estimates the object's in-memory size; the harness uses
 	// it to report reduction-object transfer volumes (the paper's
@@ -260,7 +264,8 @@ func DecodeReduction(app App, data []byte) (Reduction, error) {
 }
 
 // DecodeReductionFrom materializes a fresh reduction object for app
-// from an encoded stream — the receiving half of streamed object
+// from an encoded stream, decoding into the storage NewReduction
+// allocates — the receiving half of streamed object
 // transfer, where r is bridged from arriving wire parts and decoding
 // overlaps the transfer itself.
 func DecodeReductionFrom(app App, r io.Reader) (Reduction, error) {

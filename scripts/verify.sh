@@ -7,13 +7,14 @@
 #     the membership, sync, prefetch-pipeline, copy-free chunk-reply and
 #     fetch/span tests;
 #   - 5 s fuzz runs of the wire decoder, the direct-read path, the
-#     object-stream reassembly and the Counter/Concat combiner decoders;
+#     object-stream reassembly, the Counter/Concat combiner decoders
+#     and every registered app's reduction-object decoder;
 #   - smoke runs (heavily shrunk, digest-checked) of the overlap,
 #     autotune, elastic, spot, buffer, sync and advisor experiments,
 #     and cbadvise reading the history the advisor run wrote;
 #   - the chaos experiment at -records-divisor 10, digest-checked.
 # cbbench and cbadvise are built once and the binaries reused.
-# Budget, measured on a 2-core x86-64 Linux host: ~54 s wall with warm
+# Budget, measured on a 2-core x86-64 Linux host: ~60 s wall with warm
 # build and test caches; ~100 s after an internal/store change, which
 # invalidates the cached results of most packages' tests.
 set -euo pipefail
@@ -58,6 +59,12 @@ go test -run '^$' -fuzz FuzzObjectStream -fuzztime 5s ./internal/wire/
 # Reduction objects arrive off the wire too: the hand-rolled Counter
 # and Concat decoders must reject corrupt counts and lengths.
 go test -run '^$' -fuzz FuzzCombinerDecode -fuzztime 5s ./internal/gr/
+# ... and so do whole application objects (knn's TopK, kmeans' sums and
+# counts, pagerank's rank vector, wordcount's Counter), decoded into
+# the storage NewReduction allocates: corrupt input must error, and
+# accepted input must re-encode to bytes that decode and re-encode the
+# same.
+go test -run '^$' -fuzz FuzzReductionDecode -fuzztime 5s ./internal/apps/
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
