@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -53,9 +54,13 @@ var fuzzApps = []struct {
 // reduction decoder through gr.DecodeReduction, the path objects take
 // off the wire and out of checkpoints. Corrupt input must error, never
 // panic; accepted input must round-trip stably (encode, decode, encode
-// gives identical bytes).
+// gives identical bytes). A receiver also decodes into spares, objects
+// its merger already absorbed (gr.Merger.Spare), so every input is
+// decoded a second time into an object full of another reduction's
+// state, and must give the same bytes or the same error.
 func FuzzReductionDecode(f *testing.F) {
 	registered := make([]gr.App, len(fuzzApps))
+	dirty := make([]func() gr.Reduction, len(fuzzApps))
 	for i, a := range fuzzApps {
 		app, err := gr.New(a.name, a.params)
 		if err != nil {
@@ -78,6 +83,13 @@ func FuzzReductionDecode(f *testing.F) {
 		if _, err := gr.NewEngine(app, gr.EngineOptions{}).ProcessChunk(red, units); err != nil {
 			f.Fatal(err)
 		}
+		dirty[i] = func() gr.Reduction {
+			spare := app.NewReduction()
+			if _, err := gr.NewEngine(app, gr.EngineOptions{}).ProcessChunk(spare, units); err != nil {
+				f.Fatal(err)
+			}
+			return spare
+		}
 		for _, obj := range []gr.Reduction{red, app.NewReduction()} {
 			enc, err := gr.EncodeReduction(obj)
 			if err != nil {
@@ -88,14 +100,26 @@ func FuzzReductionDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, app := range registered {
+		for i, app := range registered {
 			red, err := gr.DecodeReduction(app, data)
+			spare := dirty[i]()
+			spareErr := spare.Decode(bytes.NewReader(data))
+			if fmt.Sprint(err) != fmt.Sprint(spareErr) {
+				t.Fatalf("%s: decode into a fresh object: %v; into a spare: %v", app.Name(), err, spareErr)
+			}
 			if err != nil {
 				continue
 			}
 			first, err := gr.EncodeReduction(red)
 			if err != nil {
 				t.Fatalf("%s: encode of a decoded object: %v", app.Name(), err)
+			}
+			fromSpare, err := gr.EncodeReduction(spare)
+			if err != nil {
+				t.Fatalf("%s: encode of a spare-decoded object: %v", app.Name(), err)
+			}
+			if !bytes.Equal(first, fromSpare) {
+				t.Fatalf("%s: a spare decodes to\n%x\nwant\n%x", app.Name(), fromSpare, first)
 			}
 			again, err := gr.DecodeReduction(app, first)
 			if err != nil {

@@ -203,6 +203,10 @@ func (r *kmeansRed) Merge(other gr.Reduction) error {
 	return nil
 }
 
+// ElementwiseMerge marks the sums-and-counts fold for the striped
+// merge.
+func (r *kmeansRed) ElementwiseMerge() {}
+
 func (r *kmeansRed) Encode(w io.Writer) error {
 	if err := r.sums.Encode(w); err != nil {
 		return err

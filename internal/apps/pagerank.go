@@ -152,6 +152,9 @@ func (r *pagerankRed) Merge(other gr.Reduction) error {
 	return r.next.Merge(o.next)
 }
 
+// ElementwiseMerge marks the rank-vector sum for the striped merge.
+func (r *pagerankRed) ElementwiseMerge() {}
+
 func (r *pagerankRed) Encode(w io.Writer) error  { return r.next.Encode(w) }
 func (r *pagerankRed) Decode(rd io.Reader) error { return r.next.Decode(rd) }
 func (r *pagerankRed) Bytes() int                { return r.next.Bytes() }

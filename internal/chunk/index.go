@@ -57,7 +57,12 @@ type BuildOptions struct {
 	// RecordSize is the data unit size in bytes (required, > 0).
 	RecordSize int32
 	// ChunkBytes is the target chunk size; rounded down to a multiple
-	// of RecordSize, minimum one record.
+	// of RecordSize, minimum one record. Each file is cut into chunks
+	// of exactly that size from its start, except that a trailing
+	// remainder of at most a tenth of it folds into the file's last
+	// chunk (Hadoop's split slop), so no job is a runt of a few
+	// records: a file's last chunk holds between one record and
+	// 1.1×ChunkBytes. A file smaller than one chunk is one chunk.
 	ChunkBytes int64
 }
 
@@ -90,16 +95,17 @@ func Build(stores map[string]store.Store, files []FileMeta, opts BuildOptions) (
 		fm.Size = size
 		fileIdx := int32(len(idx.Files))
 		idx.Files = append(idx.Files, fm)
-		for off := int64(0); off < size; off += chunkBytes {
-			length := chunkBytes
-			if off+length > size {
-				length = size - off
+		for off := int64(0); off < size; {
+			length := min(chunkBytes, size-off)
+			if rest := size - off - length; rest > 0 && 10*rest <= chunkBytes {
+				length += rest // a runt remainder rides with the last chunk
 			}
 			idx.Chunks = append(idx.Chunks, Chunk{
 				ID: id, File: fileIdx, Offset: off, Length: length,
 				Units: length / int64(opts.RecordSize),
 			})
 			id++
+			off += length
 		}
 	}
 	return idx, nil

@@ -45,7 +45,7 @@ func newRawMaster(t *testing.T, headAddr string, cfg DeployConfig, site string) 
 		eng:    gr.NewEngine(cfg.App, gr.EngineOptions{}),
 		stores: make(map[string]store.Store),
 		red:    cfg.App.NewReduction(),
-		oc:     objectCollector{app: cfg.App},
+		oc:     objectCollector{merger: gr.NewMerger(cfg.App, gr.MergerOptions{})},
 	}
 	for _, s := range cfg.Sites {
 		m.stores[s.Name] = s.HomeStore

@@ -257,7 +257,7 @@ func (h *Head) handleMaster(c *wire.Conn) error {
 	}
 	site := reg.Site
 	// oc incrementally decodes the site's streamed cluster result.
-	oc := objectCollector{app: h.cfg.App, conn: c}
+	oc := objectCollector{merger: h.merger, conn: c}
 	defer oc.abort(fmt.Errorf("cluster: head: master %s connection closed mid-stream", site))
 	h.mu.Lock()
 	h.registered++

@@ -367,7 +367,7 @@ type headReply struct {
 // KindFinal or a connection error, closing headCh.
 func (m *Master) readHead() {
 	defer close(m.headCh)
-	oc := objectCollector{app: m.cfg.App, conn: m.head}
+	oc := objectCollector{merger: m.merger, conn: m.head}
 	defer oc.abort(fmt.Errorf("cluster: master %s: head connection closed mid-stream", m.cfg.Site))
 	var partial gr.Reduction
 	for {
@@ -657,7 +657,7 @@ func (m *Master) register(c *wire.Conn) (*slaveConn, error) {
 		c.SetWriteTimeout(window)
 	}
 	sc := &slaveConn{m: m, c: c, peer: addr, granted: make(map[int32]wire.JobAssign),
-		oc: objectCollector{app: m.cfg.App, conn: c}, hintDepth: m.cfg.HintDepth}
+		oc: objectCollector{merger: m.merger, conn: c}, hintDepth: m.cfg.HintDepth}
 	m.mu.Lock()
 	m.conns[sc] = true
 	m.mu.Unlock()
@@ -1107,12 +1107,14 @@ func (m *Master) acceptFinal(reply headReply, combined gr.Reduction) (gr.Reducti
 		// cluster came down while our result went up; folding it into
 		// our own is the same final the head computes. The ack waits
 		// for the fold, so the run ends when this site holds the final.
-		t0 := m.cfg.Clock.Now()
+		t0, before := m.cfg.Clock.Now(), m.merger.Stats()
 		if err := m.merger.Fold(combined, reply.partial); err != nil {
 			return nil, fmt.Errorf("cluster: master %s: fold partial: %w", m.cfg.Site, err)
 		}
 		span := m.cfg.Clock.ToEmu(m.cfg.Clock.Now().Sub(t0))
-		ack.Stats.Breakdown = metrics.Snapshot{Merges: 1, MergeBusyEmu: span, MergeTailEmu: span, MergeMaxPar: 1}
+		after := m.merger.Stats()
+		ack.Stats.Breakdown = metrics.Snapshot{Merges: 1, MergeBusyEmu: m.cfg.Clock.ToEmu(after.Busy - before.Busy),
+			MergeTailEmu: span, MergeMaxPar: after.MaxParallel}
 	}
 	if err := m.head.Send(ack); err != nil {
 		return nil, err

@@ -61,9 +61,11 @@ func resolveSyncMode(mode string) (syncPlan, error) {
 // drains the bridged reader, so decode overlaps the transfer still in
 // flight and the full encoded object is never materialized. take joins
 // the decode once the stream's terminal message arrives and resets the
-// collector for the connection's next object.
+// collector for the connection's next object. Each object decodes into
+// storage the receiver's merger lends (Merger.Spare): an object it has
+// already absorbed when one is free.
 type objectCollector struct {
-	app    gr.App
+	merger *gr.Merger
 	conn   *wire.Conn
 	stream *wire.ObjectStream
 	resCh  chan collectResult
@@ -82,8 +84,10 @@ func (oc *objectCollector) feed(m *wire.Message) error {
 		oc.stream = wire.NewObjectStream()
 		oc.resCh = make(chan collectResult, 1)
 		go func(s *wire.ObjectStream, ch chan collectResult) {
-			obj, err := gr.DecodeReductionFrom(oc.app, s.Reader())
+			obj := oc.merger.Spare()
+			err := obj.Decode(s.Reader())
 			if err != nil {
+				obj = nil
 				// Poison the pipe so the feeder stops pushing parts into a
 				// dead decoder instead of blocking forever.
 				s.Abort(err)

@@ -18,9 +18,23 @@ const (
 	MergeSerial MergeMode = iota
 	// MergeParallel runs availability-driven pair merges on a worker
 	// pool: any two ready objects merge as soon as a worker frees,
-	// forming a binary tree whose shape follows arrival order.
+	// forming a binary tree whose shape follows arrival order. An
+	// Elementwise reduction instead folds every arrival into one
+	// accumulator, each fold striped over the workers.
 	MergeParallel
 )
+
+// Elementwise marks a reduction whose Merge is an elementwise sum over
+// storage of one fixed shape (pagerank's rank vector, kmeans' sums and
+// counts). Such a fold splits into independent stripes, so a parallel
+// Merger folds every arrival into a single accumulator, the stripes
+// spread over its workers, instead of pairing objects up in a tree:
+// no level of the tree waits for its slowest pair, and the absorbed
+// objects are free for reuse (Merger.Spare).
+type Elementwise interface {
+	// ElementwiseMerge is a marker; it is never called.
+	ElementwiseMerge()
+}
 
 func (m MergeMode) String() string {
 	switch m {
@@ -38,12 +52,15 @@ func (m MergeMode) String() string {
 // merge time hidden behind transfer.
 type MergerStats struct {
 	// Merges is the number of merge operations performed (pair merges,
-	// or whole arrivals under serial mode).
+	// accumulator folds, or whole arrivals under serial mode).
 	Merges int
-	// Busy is the summed wall-clock span of all merge operations.
+	// Busy is the summed wall-clock span of all merge operations; a
+	// striped accumulator fold counts its whole modeled work (the fold's
+	// real span plus Bytes×CostPerByte), not its share per worker.
 	Busy time.Duration
 	// MaxParallel is the peak number of concurrently running merge
-	// workers (1 under serial mode).
+	// workers (1 under serial mode, the pool width once a striped
+	// accumulator fold ran).
 	MaxParallel int
 }
 
@@ -62,14 +79,16 @@ type Merger struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	ready   []Reduction // objects awaiting a merge partner
-	running int         // pair-merge workers currently busy
-	acc     Reduction   // serial accumulator
+	running int         // pair merges or accumulator folds in flight
+	acc     Reduction   // serial or striped accumulator
+	due     time.Time   // wall time the queued striped folds complete
+	spare   []Reduction // objects the striped accumulator absorbed
 	stats   MergerStats
 	err     error
 
-	// serial serializes accumulator merges under serial mode: Adds may
-	// arrive from concurrent connection handlers, but that mode folds
-	// into one shared accumulator, so the folds must queue.
+	// serial serializes accumulator merges: Adds may arrive from
+	// concurrent connection handlers, but serial mode and the striped
+	// accumulator fold into one shared object, so the folds must queue.
 	serial sync.Mutex
 }
 
@@ -123,47 +142,105 @@ func (m *Merger) Add(red Reduction) error {
 	if red == nil {
 		return nil
 	}
-	switch m.mode {
-	case MergeParallel:
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if m.err != nil {
-			return m.err
-		}
-		m.ready = append(m.ready, red)
-		m.kick()
-		return nil
-	default:
+	if m.mode != MergeParallel || m.striped(red) {
 		return m.addAcc(red)
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.err != nil {
+		return m.err
+	}
+	m.ready = append(m.ready, red)
+	m.kick()
+	return nil
+}
+
+// striped reports whether red folds into the striped accumulator: a
+// parallel merger's Elementwise reductions.
+func (m *Merger) striped(red Reduction) bool {
+	_, ok := red.(Elementwise)
+	return ok && m.mode == MergeParallel
 }
 
 // addAcc folds red into the shared accumulator on the caller's
-// goroutine (serial mode). The fold runs outside the state lock so
-// stats reads never block behind it, but concurrent Adds (one per
-// connection handler) must still queue on the accumulator.
+// goroutine. The fold runs outside the state lock so stats reads never
+// block behind it, but concurrent Adds (one per connection handler)
+// must still queue on the accumulator. Serial mode starts from a fresh
+// object and pays each fold's cost in full, here; the striped
+// accumulator is the first arrival, queues each fold's cost on the
+// deadline Finish sleeps to, and keeps the absorbed object as a spare.
 func (m *Merger) addAcc(red Reduction) error {
+	striped := m.striped(red)
 	m.mu.Lock()
 	if m.err != nil {
 		m.mu.Unlock()
 		return m.err
 	}
 	if m.acc == nil {
+		if striped {
+			m.acc = red
+			m.mu.Unlock()
+			return nil
+		}
 		m.acc = m.app.NewReduction()
 	}
 	acc := m.acc
+	m.running++
 	m.mu.Unlock()
 
 	m.serial.Lock()
-	err := m.fold(acc, red)
+	var err error
+	if striped {
+		_, err = m.stripe(acc, red)
+	} else {
+		err = m.fold(acc, red)
+	}
 	m.serial.Unlock()
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.running--
+	m.cond.Broadcast()
 	if err != nil && m.err == nil {
 		m.err = fmt.Errorf("gr: merge: %w", err)
 	}
+	if striped && err == nil {
+		m.spare = append(m.spare, red)
+	}
 	return m.err
+}
+
+// stripe merges src into dst on the caller's goroutine and queues the
+// fold's emulated cost: Bytes×CostPerByte spread over the pool's
+// workers, which each fold one stripe of the object. Folds into one
+// accumulator run one after another, so each starts when the queue
+// drains; the caller sleeps to the returned deadline (Finish, Fold)
+// or leaves it for a later sleep to cover (Add). src is only read.
+func (m *Merger) stripe(dst, src Reduction) (time.Time, error) {
+	t0 := m.clock.Now()
+	err := dst.Merge(src)
+	now := m.clock.Now()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err != nil {
+		return time.Time{}, err
+	}
+	work := time.Duration(src.Bytes()) * m.cost
+	if m.due.Before(now) {
+		m.due = now
+	}
+	m.due = m.due.Add(m.clock.ToWall(work / time.Duration(m.workers)))
+	m.stats.Merges++
+	m.stats.Busy += now.Sub(t0) + m.clock.ToWall(work)
+	m.stats.MaxParallel = max(m.stats.MaxParallel, m.workers)
+	return m.due, nil
+}
+
+// sleepUntil blocks on the clock until the wall time due.
+func (m *Merger) sleepUntil(due time.Time) {
+	if d := due.Sub(m.clock.Now()); d > 0 {
+		m.clock.Sleep(m.clock.ToEmu(d))
+	}
 }
 
 // fold merges src into dst on the caller's goroutine, charges the
@@ -192,7 +269,16 @@ func (m *Merger) fold(dst, src Reduction) error {
 // result into the partial merge of everyone else). src is only read,
 // so it may be encoded concurrently.
 func (m *Merger) Fold(dst, src Reduction) error {
-	if err := m.fold(dst, src); err != nil {
+	var err error
+	if m.striped(dst) {
+		var due time.Time
+		if due, err = m.stripe(dst, src); err == nil {
+			m.sleepUntil(due)
+		}
+	} else {
+		err = m.fold(dst, src)
+	}
+	if err != nil {
 		return fmt.Errorf("gr: merge: %w", err)
 	}
 	return nil
@@ -250,8 +336,16 @@ func (m *Merger) Finish() (Reduction, MergerStats, error) {
 	if m.err != nil {
 		return nil, m.stats, m.err
 	}
-	switch m.mode {
-	case MergeParallel:
+	switch {
+	case m.acc != nil && m.mode == MergeParallel:
+		// The striped accumulator: every fold is done, so only the
+		// queued emulated cost remains, slept off in one go.
+		acc, stats, due := m.acc, m.stats, m.due
+		m.mu.Unlock()
+		m.sleepUntil(due)
+		m.mu.Lock() // for the deferred Unlock
+		return acc, stats, nil
+	case m.mode == MergeParallel:
 		// At most one object can remain once workers drain, unless the
 		// pool was 1-wide and arrivals raced Finish; fold what's left.
 		for len(m.ready) >= 2 {
@@ -280,6 +374,24 @@ func (m *Merger) Finish() (Reduction, MergerStats, error) {
 	}
 }
 
+// Spare returns storage to decode one more object into: an object the
+// striped accumulator has absorbed, whose fold is complete, or a fresh
+// NewReduction when there is none. Objects are handed out once; the
+// accumulator itself never is. Decode overwrites whatever state a
+// spare holds (the Reduction contract).
+func (m *Merger) Spare() Reduction {
+	var red Reduction
+	m.mu.Lock()
+	if n := len(m.spare); n > 0 {
+		red, m.spare = m.spare[n-1], m.spare[:n-1]
+	}
+	m.mu.Unlock()
+	if red == nil {
+		red = m.app.NewReduction()
+	}
+	return red
+}
+
 // Stats returns the merger's work tallies so far.
 func (m *Merger) Stats() MergerStats {
 	m.mu.Lock()
@@ -289,7 +401,8 @@ func (m *Merger) Stats() MergerStats {
 
 // MergeAllParallel merges objs with a worker-pool binary tree: any two
 // available objects merge as soon as a worker frees, so the tree shape
-// adapts to per-merge cost instead of a fixed bracket. The result is
+// adapts to per-merge cost instead of a fixed bracket (Elementwise
+// objects fold into one striped accumulator instead). The result is
 // content-equal to MergeAll for any order-independent Reduction (the
 // gr contract). workers <= 0 picks GOMAXPROCS.
 func MergeAllParallel(app App, objs []Reduction, workers int) (Reduction, error) {

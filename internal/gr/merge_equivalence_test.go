@@ -1,6 +1,7 @@
 package gr_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -157,8 +158,9 @@ func TestMergeStrategiesRandomOrderEquivalence(t *testing.T) {
 // TestMergerConcurrentAddEquivalence models the cluster receive path:
 // one Add per connection-handler goroutine, all concurrent, under
 // every merge mode. Digests must match the serial baseline, and the
-// run must be race-clean (the serial mode folds into one shared
-// accumulator behind the merger's fold mutex).
+// run must be race-clean (the serial mode and the parallel mode's
+// striped accumulator, which pagerank and kmeans take, fold into one
+// shared object behind the merger's fold mutex).
 func TestMergerConcurrentAddEquivalence(t *testing.T) {
 	const (
 		nObjects = 12
@@ -210,7 +212,88 @@ func TestMergerConcurrentAddEquivalence(t *testing.T) {
 					if d := digestOf(t, app, got); d != want {
 						t.Fatalf("mode %v: digest %s, want %s", mode, d, want)
 					}
+					if _, ok := got.(gr.Elementwise); ok && mode == gr.MergeParallel {
+						// The striped accumulator: one fold per arrival
+						// after the first, each spread over all 4 workers.
+						if stats.Merges != nObjects-1 || stats.MaxParallel != 4 {
+							t.Fatalf("striped stats %+v, want %d merges at parallelism 4", stats, nObjects-1)
+						}
+					}
 				})
+			}
+		})
+	}
+}
+
+// TestElementwiseApps pins which applications take the striped
+// accumulator under a parallel merger: the elementwise sums (pagerank's
+// rank vector, kmeans' sums and counts). knn's top-k selection and
+// wordcount's keyed counts keep the pair tree.
+func TestElementwiseApps(t *testing.T) {
+	want := map[string]bool{"pagerank": true, "kmeans": true, "knn": false, "wordcount": false}
+	for name, striped := range want {
+		app, err := gr.New(name, mergeTestParams[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := app.NewReduction().(gr.Elementwise); ok != striped {
+			t.Errorf("%s: Elementwise = %v, want %v", name, ok, striped)
+		}
+	}
+}
+
+// TestMergerSpareDecodeEquivalence is the receive path with recycling:
+// after half the objects are merged, the other half decode into the
+// storage Spare lends (objects the striped accumulator absorbed, for
+// pagerank and kmeans) and merge in; the digest must equal the plain
+// merge of everything.
+func TestMergerSpareDecodeEquivalence(t *testing.T) {
+	const (
+		nObjects = 10
+		nRecords = 6000
+	)
+	for _, name := range gr.Apps() {
+		t.Run(name, func(t *testing.T) {
+			app, err := gr.New(name, mergeTestParams[name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, total, err := bench.GeneratorFor(app, nRecords)
+			if err != nil {
+				t.Skipf("no workload generator for %q: %v", name, err)
+			}
+			encoded := buildEncodedObjects(t, app, gen, total, nObjects)
+			order := make([]int, nObjects)
+			for i := range order {
+				order[i] = i
+			}
+			base, err := gr.MergeAll(app, decodeObjects(t, app, encoded, order))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := digestOf(t, app, base)
+
+			m := gr.NewMerger(app, gr.MergerOptions{Mode: gr.MergeParallel, Workers: 4})
+			for _, o := range decodeObjects(t, app, encoded, order[:nObjects/2]) {
+				if err := m.Add(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, i := range order[nObjects/2:] {
+				o := m.Spare()
+				if err := o.Decode(bytes.NewReader(encoded[i])); err != nil {
+					t.Fatalf("decode object %d into a spare: %v", i, err)
+				}
+				if err := m.Add(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, _, err := m.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := digestOf(t, app, got); d != want {
+				t.Fatalf("digest %s, want %s", d, want)
 			}
 		})
 	}

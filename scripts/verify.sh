@@ -44,8 +44,10 @@ go test -race ./internal/cluster/ ./internal/store/ ./internal/chunk/ ./internal
 # parks the refill loop on the master's cond until a slave handler's
 # completion, requeue or failure wakes it, so its tests ride along too.
 # So do the master's per-connection exits (slaveConn) and the deploy's
-# build phase, which must start nothing when a site fails to build.
-go test -race -count=2 -run 'Join|Drain|Elastic|Spot|Preempt|Checkpoint|Revocation|Buffer|Prefetch|Budget|Merge|Sync|Exchange|HeadReader|BlockPath|TailCap|Capped|SlaveConn|StartsNothing' ./internal/cluster/ ./internal/gr/
+# build phase, which must start nothing when a site fails to build,
+# and the striped accumulator, whose spares are lent to decoders while
+# other handlers are still folding into it.
+go test -race -count=2 -run 'Join|Drain|Elastic|Spot|Preempt|Checkpoint|Revocation|Buffer|Prefetch|Budget|Merge|Sync|Exchange|HeadReader|BlockPath|TailCap|Capped|SlaveConn|StartsNothing|Striped|Spare|Elementwise' ./internal/cluster/ ./internal/gr/
 go test -race -count=2 -run 'Vectored|OneWritePerSend|RecvInto|DirectRead|BadReplies|Overlong|LentView|BlockKernel|Plan|Span|Fetch' ./internal/wire/ ./internal/store/ ./internal/apps/
 # The wire codec owns every byte on every connection: fuzz the decoder
 # and the direct-read path briefly (corrupt frames must error, never
@@ -61,9 +63,10 @@ go test -run '^$' -fuzz FuzzObjectStream -fuzztime 5s ./internal/wire/
 go test -run '^$' -fuzz FuzzCombinerDecode -fuzztime 5s ./internal/gr/
 # ... and so do whole application objects (knn's TopK, kmeans' sums and
 # counts, pagerank's rank vector, wordcount's Counter), decoded into
-# the storage NewReduction allocates: corrupt input must error, and
-# accepted input must re-encode to bytes that decode and re-encode the
-# same.
+# the storage NewReduction allocates and into a spare full of another
+# object's state: corrupt input must error (the same error both ways),
+# and accepted input must re-encode to bytes that decode and re-encode
+# the same.
 go test -run '^$' -fuzz FuzzReductionDecode -fuzztime 5s ./internal/apps/
 
 TMP="$(mktemp -d)"
